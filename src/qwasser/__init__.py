@@ -32,7 +32,6 @@ from .linalg import (
     transpose_op,
     vec,
 )
-from .oracle import OracleResult, oracle_min_coupling
 from .states import (
     PAULI,
     bloch_from_state,
@@ -64,3 +63,15 @@ from .transport import (
 from .verify import SUITE_NAMES, SuiteResult, run_suite
 
 __version__ = "0.1.0"
+
+# The oracle pulls in scipy.optimize, which costs more than the rest of the
+# package together; load it on first access (PEP 562).
+_LAZY_ORACLE = ("OracleResult", "oracle_min_coupling")
+
+
+def __getattr__(name):
+    if name in _LAZY_ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

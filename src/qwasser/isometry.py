@@ -399,8 +399,7 @@ def sample_b3_negating_bloch_map(rng: np.random.Generator) -> StateMap:
     return bloch_self_map(fn, f"b3-negating-phase-scramble(c={np.round(c, 3).tolist()})")
 
 
-def sample_adversarial_map(rng: np.random.Generator) -> StateMap:
-    kind = int(rng.integers(0, 5))
+def _adversarial_map(kind: int, rng: np.random.Generator) -> StateMap:
     if kind == 0:
         s = float(rng.uniform(0.3, 0.9))
         return bloch_self_map(lambda b, s=s: s * b, f"radial-shrink(s={s:.3f})")
@@ -420,6 +419,21 @@ def sample_adversarial_map(rng: np.random.Generator) -> StateMap:
             lambda b: np.array([b[0], b[1], abs(b[2])]), "b3-absolute-value"
         )
     return bloch_self_map(lambda b: np.array([b[2], b[1], b[0]]), "swap-b1-b3")
+
+
+def sample_adversarial_map(rng: np.random.Generator) -> StateMap:
+    """A map that is not a sigma_z-cost isometry (some are all-Pauli isometries)."""
+    return _adversarial_map(int(rng.integers(0, 5)), rng)
+
+
+# The x-rotation (kind 2) and the b1/b3 swap (kind 4) are orthogonal Bloch
+# maps, hence genuine isometries of the all-Pauli cost.
+_NON_RIGID_KINDS = (0, 1, 3)
+
+
+def sample_non_rigid_map(rng: np.random.Generator) -> StateMap:
+    """A non-rigid Bloch map: an isometry of neither the all-Pauli nor the sigma_z cost."""
+    return _adversarial_map(_NON_RIGID_KINDS[int(rng.integers(0, 3))], rng)
 
 
 def sample_wigner_map(rng: np.random.Generator) -> StateMap:

@@ -42,6 +42,8 @@ def state_from_bloch(b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (3,):
         raise DomainError(f"state_from_bloch: expected 3 real coordinates, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise DomainError(f"state_from_bloch: non-finite Bloch coordinate in {b.tolist()}")
     norm = float(np.linalg.norm(b))
     if norm > 1.0 + BLOCH_CLAMP:
         raise DomainError(f"state_from_bloch: Bloch norm {norm:.12g} outside the unit ball")
@@ -61,6 +63,8 @@ def bloch_from_state(rho) -> np.ndarray:
 def validate_state(m, what: str = "state") -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity; return the matrix."""
     m = require_square(m, (2,), what)
+    if not np.isfinite(m).all():
+        raise DomainError(f"{what}: non-finite entry")
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise DomainError(f"{what}: not Hermitian (defect {defect:.3e})")

@@ -9,8 +9,8 @@ Solver: after expanding Pi in the Pauli product basis, the marginal
 constraints pin 7 of the 16 real coefficients, so the program is a linear
 objective over a 9-dimensional affine slice of the PSD cone.  A log-det
 barrier interior-point method with damped Newton steps follows the central
-path; optimality is certified with an explicitly constructed dual feasible
-point, whose value gives the reported duality gap.
+path once per solve; its final Newton step yields a dual feasible point,
+whose value gives the reported duality gap.
 
 Closed fast paths (exact, no iteration):
 
@@ -98,7 +98,7 @@ class TransportResult:
     optimal_coupling: Coupling
     solver_status: str  # "closed_form" | "converged" | "max_iterations"
     duality_gap_or_residual: float
-    iterations: int
+    iterations: int  # Newton steps of the one barrier run; 0 on closed forms
 
 
 @dataclass(frozen=True)
@@ -180,13 +180,12 @@ def _chol_logdet(m):
     return 2.0 * float(np.log(np.diag(ell).real).sum())
 
 
-def _barrier_minimize(cvec, m0, basis, v0, cfg: SolverConfig, budget: int):
-    """Minimize cvec . v subject to m0 + sum_a v[a] basis[a] being PSD.
+def _barrier_minimize(cvec, m0, basis, v0, cfg: SolverConfig):
+    """Minimize cvec . v subject to M = m0 + sum_a v[a] basis[a] being PSD.
 
-    Log-det barrier path following with damped Newton steps.  Every iterate is
-    strictly feasible, so the returned objective value is achieved by an
-    explicit feasible point.  Returns (value, v, matrix, iterations) or None
-    when v0 is not strictly feasible.
+    Log-det barrier path following with damped Newton steps; every iterate is
+    strictly feasible.  Returns (value, M, mu, iterations) at the last
+    iterate, or None when v0 is not strictly feasible.
     """
     v = np.asarray(v0, dtype=float).copy()
     n = basis.shape[0]
@@ -207,89 +206,88 @@ def _barrier_minimize(cvec, m0, basis, v0, cfg: SolverConfig, budget: int):
     mu_floor = cfg.tolerance / 32.0
     dec_target = cfg.centering_tol**2
     iters = 0
-    stalled = False
 
-    while True:
-        while iters < budget:
-            inv = np.linalg.inv(mat)
-            t = np.matmul(inv, basis)
-            grad = cvec - mu * t.diagonal(axis1=1, axis2=2).sum(axis=1).real
-            # hess[a, b] = mu * tr[t_a @ t_b] with t_a = inv @ basis_a
-            t_flat = t.reshape(n, 16)
-            t_flat_swapped = t.transpose(0, 2, 1).reshape(n, 16)
-            hess = mu * (t_flat @ t_flat_swapped.T).real
-            hess = 0.5 * (hess + hess.T)
-            try:
-                delta = -np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                delta = -np.linalg.lstsq(hess, grad, rcond=None)[0]
-            # Newton decrement of the self-concordant centering problem
-            # (1/mu) cvec.v - logdet: the mu division keeps the proximity
-            # test meaningful as mu shrinks.
-            dec_sq = max(float(-grad @ delta), 0.0) / mu
-            if dec_sq <= dec_target:
+    while iters < cfg.max_iterations:
+        inv = np.linalg.inv(mat)
+        t = np.matmul(inv, basis)
+        grad = cvec - mu * t.diagonal(axis1=1, axis2=2).sum(axis=1).real
+        # hess[a, b] = mu * tr[t_a @ t_b] with t_a = inv @ basis_a
+        t_flat = t.reshape(n, 16)
+        t_flat_swapped = t.transpose(0, 2, 1).reshape(n, 16)
+        hess = mu * (t_flat @ t_flat_swapped.T).real
+        hess = 0.5 * (hess + hess.T)
+        try:
+            delta = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            delta = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        # Newton decrement of the self-concordant centering problem
+        # (1/mu) cvec.v - logdet: the mu division keeps the proximity
+        # test meaningful as mu shrinks.
+        dec_sq = max(float(-grad @ delta), 0.0) / mu
+        if dec_sq <= dec_target:
+            if mu <= mu_floor:
                 break
-            f0 = float(cvec @ v) - mu * logdet
-            slope = float(grad @ delta)
-            step = 1.0 if dec_sq <= 0.0625 else 1.0 / (1.0 + math.sqrt(dec_sq))
-            accepted = False
-            for _ in range(40):
-                vn = v + step * delta
-                matn = assemble(vn)
-                ld = _chol_logdet(matn)
-                if ld is not None:
-                    fn = float(cvec @ vn) - mu * ld
-                    if fn <= f0 + 0.25 * step * slope:
-                        accepted = True
-                        break
-                step *= 0.5
-            iters += 1
-            if not accepted:
-                stalled = True
-                break
-            v, mat, logdet = vn, matn, ld
-        if iters >= budget or stalled or mu <= mu_floor:
+            mu = max(mu * cfg.mu_shrink, mu_floor)
+            continue
+        f0 = float(cvec @ v) - mu * logdet
+        slope = float(grad @ delta)
+        step = 1.0 if dec_sq <= 0.0625 else 1.0 / (1.0 + math.sqrt(dec_sq))
+        accepted = False
+        for _ in range(40):
+            vn = v + step * delta
+            matn = assemble(vn)
+            ld = _chol_logdet(matn)
+            if ld is not None:
+                fn = float(cvec @ vn) - mu * ld
+                if fn <= f0 + 0.25 * step * slope:
+                    accepted = True
+                    break
+            step *= 0.5
+        iters += 1
+        if not accepted:
             break
-        mu = max(mu * cfg.mu_shrink, mu_floor)
+        v, mat, logdet = vn, matn, ld
 
-    return float(cvec @ v), v, mat, iters
+    return float(cvec @ v), mat, mu, iters
 
 
 def _barrier_solve(rho, omega, cmat, cfg: SolverConfig):
-    """Primal and dual barrier solves for min tr[Pi C] over couplings.
+    """One barrier run for min tr[Pi C] over couplings, plus its certificate.
 
-    The primal runs on the 9 free coupling coordinates; the dual
-    (max y . b subject to C - sum_k y[k] G_k PSD, G_k the marginal operators)
-    runs on 7 multipliers and its iterate value is a rigorous lower bound.
-    Returns (primal_value, matrix, lower_bound, iterations) or None when the
-    product coupling is too close to singular for interior iterates.
+    At the last iterate Pi, with barrier weight mu and Newton step D, the
+    slack Z = mu (Pi^-1 - Pi^-1 D Pi^-1) matches C on the free directions (the
+    Newton equation) and is positive definite once the Newton decrement is
+    below one (Boyd & Vandenberghe, 11.2.2 and 11.6).  Free and marginal
+    operators are Hilbert-Schmidt complements, so projecting C - Z onto the
+    marginal operators G_k gives multipliers y, and by weak duality
+    b . y + min(0, lambda_min(C - sum_k y[k] G_k)) is a lower bound however the
+    barrier ended.  Returns (primal_value, matrix, lower_bound, iterations) or
+    None when the product coupling is too close to singular.
     """
     fixed, bvec, b_omega, b_rho_t = _affine_parts(rho, omega)
     q = np.einsum("aij,ji->a", _FREE, cmat).real
     k0 = float(np.einsum("ij,ji->", fixed, cmat).real)
     x0 = np.outer(b_omega, b_rho_t).ravel()
 
-    primal = _barrier_minimize(q, fixed, _FREE, x0, cfg, cfg.max_iterations)
+    primal = _barrier_minimize(q, fixed, _FREE, x0, cfg)
     if primal is None:
         return None
-    primal_value, _, pi, iters_p = primal
-    primal_value += k0
+    primal_value, pi, mu, iters = primal
 
-    # Dual variables enter as Z = C + sum_k w[k] G_k with w = -y, so the
-    # dual maximum is -(min bvec . w); w0 shifts by the identity, which is
-    # always strictly feasible.
-    w0 = np.zeros(7)
-    w0[0] = 1.0
-    budget = max(cfg.max_iterations - iters_p, 8)
-    dual = _barrier_minimize(bvec, cmat, _CONSTRAINTS, w0, cfg, budget)
-    if dual is None:
-        lower = -math.inf
-        iters_d = 0
-    else:
-        neg_dual_value, _, _, iters_d = dual
-        lower = -neg_dual_value
+    # Newton step in the basis W_a = L^-1 F_a L^-H (Pi = L L^H): its Hessian is
+    # a Gram matrix, which stays PSD in floating point as Pi nears singularity,
+    # where the path's inv(Pi)-based Hessian goes indefinite.
+    linv = np.linalg.inv(np.linalg.cholesky(pi))
+    w = linv @ _FREE @ linv.conj().T
+    w_flat = w.reshape(len(_FREE), 16)
+    grad = q - mu * w.trace(axis1=1, axis2=2).real
+    delta = -np.linalg.lstsq(mu * (w_flat @ w_flat.conj().T).real, grad, rcond=None)[0]
+    z = mu * (linv.conj().T @ (np.eye(4) - np.tensordot(delta, w, axes=1)) @ linv)
 
-    return primal_value, pi, lower, iters_p + iters_d
+    y = np.einsum("kij,ji->k", _CONSTRAINTS, cmat - z).real / 4.0
+    dual_slack = cmat - np.tensordot(y, _CONSTRAINTS, axes=1)
+    lower = float(bvec @ y) + min(0.0, float(np.linalg.eigvalsh(dual_slack)[0]))
+    return primal_value + k0, pi, lower, iters
 
 
 def solve_min_coupling(rho, omega, c, config: SolverConfig | None = None) -> TransportResult:

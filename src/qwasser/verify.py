@@ -20,7 +20,7 @@ from .errors import DomainError
 from .isometry import (
     MAP_FAMILIES,
     check_isometry,
-    sample_adversarial_map,
+    sample_non_rigid_map,
     sample_wigner_map,
     sample_z_phase_field_map,
     theorem_crosscheck_dz,
@@ -274,7 +274,7 @@ def suite_dsym_isometries(
 
     def adversarial(i):
         rng = derived_rng(seed, 50_000 + i)
-        state_map = sample_z_phase_field_map(rng) if i % 2 else sample_adversarial_map(rng)
+        state_map = sample_z_phase_field_map(rng) if i % 2 else sample_non_rigid_map(rng)
         report = check_isometry(state_map, "d_sym", 8, 1e-4, seed + i, config)
         witness = None
         if report.witness_pair is not None:
@@ -305,7 +305,7 @@ def suite_dsym_isometries(
                 tolerance=0.0,
                 passed=not missed,
                 witnesses=witnesses,
-                notes="adversarial maps must be flagged as violations",
+                notes="non-rigid maps must be flagged as violations",
             ),
         ],
     )

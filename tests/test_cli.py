@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qwasser
 from qwasser.cli import main, parse_state_spec
 
 
@@ -75,6 +80,18 @@ class TestDistanceCommand:
 
     def test_bad_bloch_norm_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, ["distance", "--cost", "z", "bloch:0,0,1.5", "plus_z"])
+        assert code == 2
+
+    @pytest.mark.parametrize("spec", ["bloch:nan,0,0", "bloch:0,inf,0"])
+    def test_non_finite_bloch_exit_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, ["distance", spec, "plus_z"])
+        assert code == 2
+        assert "error" in err
+        assert "nan" not in out
+
+    def test_non_finite_matrix_exit_2(self, capsys):
+        spec = '{"matrix": [[1, 0], ["nan", 0], ["nan", 0], [0, 0]]}'
+        code, _, _ = run_cli(capsys, ["divergence", "--cost", "sym", spec, "plus_z"])
         assert code == 2
 
     def test_bad_matrix_exit_2(self, capsys):
@@ -211,3 +228,21 @@ class TestUsageErrors:
     def test_custom_without_generators_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["distance", "--cost", "custom", "plus_z", "minus_z"])
         assert code == 2
+
+
+def test_cli_import_leaves_oracle_and_scipy_optimize_unloaded():
+    code = (
+        "import sys\n"
+        "import qwasser.cli\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "assert 'qwasser.oracle' not in sys.modules\n"
+        "from qwasser import OracleResult, oracle_min_coupling\n"
+        "assert oracle_min_coupling.__module__ == 'qwasser.oracle'\n"
+        "assert OracleResult.__module__ == 'qwasser.oracle'\n"
+    )
+    src = str(Path(qwasser.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

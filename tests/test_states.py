@@ -51,6 +51,11 @@ class TestBlochMaps:
         rho = state_from_bloch(b)
         assert np.linalg.norm(bloch_from_state(rho)) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            state_from_bloch([bad, 0.0, 0.0])
+
     def test_rejects_far_outside(self):
         with pytest.raises(DomainError):
             state_from_bloch([0.0, 0.0, 1.01])
@@ -92,6 +97,13 @@ class TestValidateState:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             validate_state(np.diag([1.2, -0.2]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        m = np.diag([1.0, 0.0]).astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(DomainError):
+            validate_state(m)
 
 
 class TestNamedStates:

@@ -20,6 +20,14 @@ def test_suite_passes(suite, samples):
     assert result.passed, [(c.name, c.max_deviation) for c in result.checks if not c.passed]
 
 
+@pytest.mark.parametrize("seed", [3, 5])
+def test_dsym_non_rigid_check_draws_no_isometries(seed):
+    # orthogonal Bloch maps are genuine d_sym isometries; the check that
+    # demands a violation must never draw one
+    result = run_suite("dsym-isometries", samples=10, seed=seed)
+    assert result.passed, [(c.name, c.max_deviation) for c in result.checks if not c.passed]
+
+
 def test_divergence_triangle_reports_min_radicand():
     result = run_suite("divergence-triangle", samples=10, seed=3)
     (check,) = result.checks
