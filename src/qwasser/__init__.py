@@ -14,6 +14,7 @@ from .isometry import (
     antiunitary_conj_map,
     apply_state_map,
     bloch_self_map,
+    check_isometries,
     check_isometry,
     orthogonal_bloch_map,
     rotation_to_unitary,
@@ -49,10 +50,12 @@ from .transport import (
     coupling_conjugate,
     coupling_cost,
     divergence_breakdown,
+    divergence_breakdowns,
     product_coupling,
     purification_coupling,
     self_distance_sq,
     solve_min_coupling,
+    solve_min_couplings,
     sym_self_distance_sq_closed,
     sym_self_distance_sq_published,
     wasserstein_distance,

@@ -10,7 +10,7 @@ maximally_mixed), as ``bloch:x,y,z``, or as inline JSON:
 A single positional state may be ``-`` to read its JSON spec from stdin.
 
 Exit codes: 0 success / converged, 1 failed verification checks,
-2 parse or domain errors, 3 solver non-convergence.
+2 parse or domain errors, 3 solver non-convergence or any other solver error.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 
 import numpy as np
 
 from .cost import CostOperator, build_cost, sym_cost, z_cost
-from .errors import ContractViolation, DomainError, SolverAccuracyError
+from .errors import ContractViolation, DomainError, QwasserError
 from .states import NAMED_BLOCH, named_state, state_from_bloch, validate_state
 from .transport import (
     SolverConfig,
@@ -143,7 +142,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _config_echo(args, cfg: SolverConfig | None = None) -> dict:
-    echo = {"qwasser_threads": os.environ.get("QWASSER_THREADS", "1")}
+    echo = {}
     if cfg is not None:
         echo.update(
             tolerance=cfg.tolerance,
@@ -392,8 +391,10 @@ def main(argv=None) -> int:
     except (DomainError, ContractViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except SolverAccuracyError as e:
-        print(f"solver accuracy error: {e}", file=sys.stderr)
+    except (QwasserError, np.linalg.LinAlgError) as e:
+        # SolverAccuracyError, InternalConsistencyError, or a numerical failure
+        # no solver path caught: report it on one line, never as a traceback
+        print(f"solver error ({type(e).__name__}): {e}", file=sys.stderr)
         return 3
 
 

@@ -10,7 +10,8 @@ A candidate map is one of four kinds:
   state-dependent phase t and u_z(t) = diag(e^{it}, e^{-it}).
 
 `check_isometry` measures how well a map preserves a chosen transport metric
-on a stratified sample of state pairs; `satisfies_dz_condition` tests the
+on a stratified sample of state pairs (`check_isometries` does so for many
+maps with one batched solve); `satisfies_dz_condition` tests the
 Bloch-level characterization relevant to the single-sigma_z distance (length
 of the Bloch vector preserved, third coordinate globally fixed or globally
 negated); `theorem_crosscheck_dz` asserts that the two verdicts agree across
@@ -30,7 +31,7 @@ from .errors import DomainError
 from .linalg import dagger
 from .sampling import derived_rng, random_pure_state, random_state, random_unitary
 from .states import PAULI, bloch_from_state, state_from_bloch, validate_state
-from .transport import SolverConfig, wasserstein_distance, wasserstein_divergence
+from .transport import SolverConfig, divergence_breakdowns, solve_min_couplings
 
 METRICS = ("D_sym", "D_z", "d_sym")
 
@@ -198,17 +199,54 @@ def sample_state_pairs(rng: np.random.Generator, n: int) -> list:
     return pairs[:n]
 
 
-def _metric_evaluator(metric: str, config: SolverConfig | None):
-    if metric == "D_sym":
-        c = sym_cost()
-        return lambda r, o: wasserstein_distance(r, o, c, config)
-    if metric == "D_z":
-        c = z_cost()
-        return lambda r, o: wasserstein_distance(r, o, c, config)
+def _metric_values(metric: str, rhos: list, omegas: list, config: SolverConfig | None) -> np.ndarray:
+    """The metric on each pair (rhos[i], omegas[i]), from one batched solve."""
     if metric == "d_sym":
-        c = sym_cost()
-        return lambda r, o: wasserstein_divergence(r, o, c, config)
-    raise DomainError(f"unknown metric {metric!r}; choose from {METRICS}")
+        return np.array([b.divergence for b in divergence_breakdowns(rhos, omegas, sym_cost(), config)])
+    c = sym_cost() if metric == "D_sym" else z_cost()
+    return np.sqrt([r.optimal_value for r in solve_min_couplings(rhos, omegas, c, config)])
+
+
+def check_isometries(
+    state_maps: list,
+    seeds: list,
+    metric: str,
+    n_samples: int = 12,
+    tol: float = 1e-5,
+    config: SolverConfig | None = None,
+) -> list:
+    """`check_isometry` for each map, map k on the pairs of seed seeds[k];
+    every metric value comes from one batched solve."""
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
+    if metric not in METRICS:
+        raise DomainError(f"unknown metric {metric!r}; choose from {METRICS}")
+    rhos, omegas = [], []
+    samples = []
+    for state_map, seed in zip(state_maps, seeds, strict=True):
+        pairs = sample_state_pairs(derived_rng(seed, 0), n_samples)
+        images = [(apply_state_map(state_map, r), apply_state_map(state_map, o)) for r, o in pairs]
+        for rho, omega in pairs + images:
+            rhos.append(rho)
+            omegas.append(omega)
+        samples.append(pairs)
+    values = _metric_values(metric, rhos, omegas, config).reshape(len(state_maps), 2, -1)
+    reports = []
+    for state_map, pairs, (before, after) in zip(state_maps, samples, values):
+        dev = np.abs(after - before)
+        worst = int(np.argmax(dev))
+        verdict = "isometry_within_tol" if dev[worst] <= tol else "violated"
+        reports.append(
+            IsometryReport(
+                map_id=state_map.label,
+                metric=metric,
+                samples=len(pairs),
+                max_abs_deviation=float(dev[worst]),
+                verdict=verdict,
+                witness_pair=(*pairs[worst], float(dev[worst])) if verdict == "violated" else None,
+            )
+        )
+    return reports
 
 
 def check_isometry(
@@ -220,28 +258,7 @@ def check_isometry(
     config: SolverConfig | None = None,
 ) -> IsometryReport:
     """Compare metric values before and after applying the map on sampled pairs."""
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    evaluate = _metric_evaluator(metric, config)
-    pairs = sample_state_pairs(derived_rng(seed, 0), n_samples)
-    max_dev = -1.0
-    worst = None
-    for rho, omega in pairs:
-        before = evaluate(rho, omega)
-        after = evaluate(apply_state_map(state_map, rho), apply_state_map(state_map, omega))
-        dev = abs(after - before)
-        if dev > max_dev:
-            max_dev = dev
-            worst = (rho, omega, dev)
-    verdict = "isometry_within_tol" if max_dev <= tol else "violated"
-    return IsometryReport(
-        map_id=state_map.label,
-        metric=metric,
-        samples=len(pairs),
-        max_abs_deviation=float(max_dev),
-        verdict=verdict,
-        witness_pair=worst if verdict == "violated" else None,
-    )
+    return check_isometries([state_map], [seed], metric, n_samples, tol, config)[0]
 
 
 def _dz_condition_samples(rng: np.random.Generator, n: int) -> list:
@@ -335,11 +352,12 @@ def theorem_crosscheck_dz(
     config: SolverConfig | None = None,
 ) -> CrosscheckReport:
     """For sampled maps, assert the metric check and the Bloch-level condition agree."""
+    maps = [map_sampler(derived_rng(seed, 10_000 + k)) for k in range(n_maps)]
+    seeds = [seed + k for k in range(n_maps)]
+    reports = check_isometries(maps, seeds, "D_z", n_samples, tol, config)
     per_map = []
-    for k in range(n_maps):
-        state_map = map_sampler(derived_rng(seed, 10_000 + k))
-        report = check_isometry(state_map, "D_z", n_samples, tol, seed + k, config)
-        holds, _ = dz_condition_report(state_map, max(3 * n_samples, 24), tol, seed + k)
+    for state_map, report, map_seed in zip(maps, reports, seeds):
+        holds, _ = dz_condition_report(state_map, max(3 * n_samples, 24), tol, map_seed)
         is_isometry = report.verdict == "isometry_within_tol"
         per_map.append(
             MapAgreement(

@@ -53,11 +53,11 @@ def state_from_bloch(b) -> np.ndarray:
 
 
 def bloch_from_state(rho) -> np.ndarray:
-    """Pauli expectation values (tr[sigma_j rho])_{j=1..3}."""
+    """Pauli expectation values (tr[sigma_j rho])_{j=1..3}; a stack of states
+    gives a stack of Bloch vectors."""
     rho = np.asarray(rho, dtype=complex)
-    return np.array(
-        [2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real]
-    )
+    off = rho[..., 1, 0]
+    return np.stack([2.0 * off.real, 2.0 * off.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
 
 
 def validate_state(m, what: str = "state") -> np.ndarray:
@@ -77,10 +77,11 @@ def validate_state(m, what: str = "state") -> np.ndarray:
     return m
 
 
-def is_pure(rho, tol: float = PURITY_TOL) -> bool:
-    """True iff the Bloch vector has unit length within tol."""
-    b = bloch_from_state(np.asarray(rho, dtype=complex))
-    return abs(float(np.linalg.norm(b)) - 1.0) <= tol
+def is_pure(rho, tol: float = PURITY_TOL):
+    """True iff the Bloch vector has unit length within tol; a stack of states
+    gives a boolean array."""
+    pure = np.abs(np.linalg.norm(bloch_from_state(rho), axis=-1) - 1.0) <= tol
+    return bool(pure) if pure.ndim == 0 else pure
 
 
 def named_state(name: str) -> np.ndarray:

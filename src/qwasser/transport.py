@@ -10,14 +10,20 @@ constraints pin 7 of the 16 real coefficients, so the program is a linear
 objective over a 9-dimensional affine slice of the PSD cone.  A log-det
 barrier interior-point method with damped Newton steps follows the central
 path once per solve; its final Newton step yields a dual feasible point,
-whose value gives the reported duality gap.
+whose value gives the reported duality gap.  `solve_min_couplings` runs the
+same path-following rules on a stack of pairs at once, lane by lane; one pair
+runs a single-pair loop.  Both loops build the Newton system with
+`_newton_parts` and share the certificate and the closed-form decisions.
 
-Closed fast paths (exact, no iteration):
+Closed paths (exact, no iteration):
 
 * if either marginal is pure, the feasible set is the singleton product
   coupling omega (x) rho^T;
 * if rho == omega, the rank-one coupling built from vec(sqrt(rho)) is optimal
   for any generator-built cost, which the solver cross-validates in tests.
+
+When the product coupling is too close to singular for the barrier to start,
+the product is returned with the lower bound tr[Pi C] >= lambda_min(C).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .linalg import (
     transpose_op,
     vec,
 )
-from .states import PAULI, bloch_from_state, is_pure, validate_state
+from .states import PAULI, PURITY_TOL, bloch_from_state, is_pure, validate_state
 
 # Pauli product basis; sigma_i (x) sigma_j is Hermitian with tr[(s_i s_j)^2] = 4.
 _PP = [[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)]
@@ -51,8 +57,45 @@ _CONSTRAINTS = np.stack(
 )
 _ROW = np.stack([_PP[i][0] for i in (1, 2, 3)])
 _COL = np.stack([_PP[0][j] for j in (1, 2, 3)])
+_FREE_FLAT = _FREE.reshape(9, 16)
+# A = sum_k x[k] P_k with x = vec(A) @ _COEF, P_k = sigma_(k // 4) (x) sigma_(k % 4).
+_P16 = np.stack([_PP[i][j] for i in range(4) for j in range(4)])
+_COEF = _P16.transpose(0, 2, 1).reshape(16, 16).T / 4.0
+# tr[P_k F_a] is 1 for the P_k that F_a is a quarter of, and 0 otherwise.
+_FREE_INDEX = np.array([4 * i + j for i in (1, 2, 3) for j in (1, 2, 3)])
+
+
+# Pairs k <= l of Pauli coefficients and a <= b of free directions: x (x) x
+# and h0 are symmetric, so the Newton builder works on upper triangles only.
+_K, _L = np.triu_indices(16)
+_A, _B = np.triu_indices(9)
+_H_UNFOLD = np.zeros((9, 9), dtype=int)
+_H_UNFOLD[_A, _B] = _H_UNFOLD[_B, _A] = np.arange(len(_A))
+_H_UNFOLD = _H_UNFOLD.ravel()
+
+
+def _hessian_tensor() -> np.ndarray:
+    """_TEN with h0[a, b] = sum over k <= l of x[k] x[l] _TEN[(k, l), (a, b)],
+    folded from t[k, l, a, b] = Re tr[P_k F_a P_l F_b].
+
+    The imaginary parts of the traces are antisymmetric in (k, l), so they
+    cancel against the symmetric x (x) x of a Hermitian M^-1, and the (k, l)
+    and (l, k) terms fold into one.
+    """
+    pf = _P16[:, None] @ _FREE[None]  # P_k F_a
+    t = pf.reshape(144, 16) @ pf.transpose(0, 1, 3, 2).reshape(144, 16).T
+    t = t.real.reshape(16, 9, 16, 9).transpose(0, 2, 1, 3)
+    t = t + t.transpose(1, 0, 2, 3)
+    t[np.arange(16), np.arange(16)] *= 0.5
+    return np.ascontiguousarray(t[_K, _L][:, _A, _B])
+
+
+_TEN = _hessian_tensor()
 
 STATE_EQUAL_ATOL = 1e-12
+# 1 - |b| of a marginal that counts as pure whatever the config: a few units of
+# double-precision roundoff, which state_from_bloch leaves on unit vectors.
+SINGLETON_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -126,14 +169,15 @@ def purification_coupling(rho) -> Coupling:
     return Coupling(np.outer(v, v.conj()), rho, transpose_op(rho))
 
 
-def coupling_cost(pi, c) -> float:
-    """tr[Pi C]; the imaginary part must be roundoff."""
+def coupling_cost(pi, c):
+    """tr[Pi C], or an array of them for a stack of matrices; the imaginary
+    parts must be roundoff."""
     m = pi.matrix if isinstance(pi, Coupling) else np.asarray(pi, dtype=complex)
-    cm = cost_matrix(c)
-    val = complex(np.einsum("ij,ji->", m, cm))
-    if abs(val.imag) > 1e-8:
-        raise InternalConsistencyError(f"coupling_cost: imaginary part {val.imag:.3e}")
-    return float(val.real)
+    vals = np.einsum("...ij,ji->...", m, cost_matrix(c))
+    imag = float(np.abs(vals.imag).max(initial=0.0))
+    if imag > 1e-8:
+        raise InternalConsistencyError(f"coupling_cost: imaginary part {imag:.3e}")
+    return float(vals.real) if vals.ndim == 0 else vals.real
 
 
 def coupling_conjugate(pi: Coupling, u_left, u_right) -> Coupling:
@@ -153,75 +197,100 @@ def coupling_conjugate(pi: Coupling, u_left, u_right) -> Coupling:
     return Coupling(matrix, omega, rho_t)
 
 
-def _bloch_pair(rho, omega):
-    """Bloch vector of omega and of rho^T (the transposed-second-factor target)."""
-    b_omega = bloch_from_state(omega)
-    b_rho = bloch_from_state(rho)
-    b_rho_t = np.array([b_rho[0], -b_rho[1], b_rho[2]])
-    return b_omega, b_rho_t
-
-
-def _affine_parts(rho, omega):
-    b_omega, b_rho_t = _bloch_pair(rho, omega)
+def _affine_parts(rhos, omegas):
+    """Per pair: the coupling with free coordinates zero, the marginal vector
+    b = (1, b_omega, b_rho^T), and the free coordinates of the product coupling."""
+    b_omega = bloch_from_state(omegas)
+    b_rho_t = bloch_from_state(rhos) * np.array([1.0, -1.0, 1.0])
     fixed = 0.25 * (
         _PP[0][0]
         + np.tensordot(b_omega, _ROW, axes=1)
         + np.tensordot(b_rho_t, _COL, axes=1)
     )
-    bvec = np.concatenate(([1.0], b_omega, b_rho_t))
-    return fixed, bvec, b_omega, b_rho_t
+    bvec = np.concatenate((np.ones((len(rhos), 1)), b_omega, b_rho_t), axis=1)
+    x0 = (b_omega[:, :, None] * b_rho_t[:, None, :]).reshape(-1, 9)
+    return fixed, bvec, x0
 
 
-def _chol_logdet(m):
+def _logdet_lanes(m):
+    """log det of each matrix of a stack, NaN where Cholesky fails.
+
+    numpy raises for the whole stack when one lane fails, so a failing stack
+    is split until the failing lanes are alone.
+    """
     try:
         ell = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        return None
-    return 2.0 * float(np.log(np.diag(ell).real).sum())
+        if len(m) == 1:
+            return np.array([np.nan])
+        h = len(m) // 2
+        return np.concatenate((_logdet_lanes(m[:h]), _logdet_lanes(m[h:])))
+    return 2.0 * np.log(np.diagonal(ell, axis1=1, axis2=2).real).sum(axis=1)
 
 
-def _barrier_minimize(cvec, m0, basis, v0, cfg: SolverConfig):
-    """Minimize cvec . v subject to M = m0 + sum_a v[a] basis[a] being PSD.
+def _solve_lanes(a, b):
+    """x[i] with a[i] x[i] = b[i]; least squares on the lanes where a[i] is singular."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.linalg.lstsq(a[0], b[0], rcond=None)[0][None]
+        h = len(a) // 2
+        return np.concatenate((_solve_lanes(a[:h], b[:h]), _solve_lanes(a[h:], b[h:])))
+
+
+def _newton_parts(m):
+    """g0[a] = tr[M^-1 F_a] and h0[a, b] = tr[M^-1 F_a M^-1 F_b] for M or a stack of M.
+
+    Both are polynomials in the 16 real Pauli coefficients x of M^-1: g0 picks
+    the free coefficients, and the upper triangle of h0 is the 136 products
+    x[k] x[l], k <= l, times _TEN.  The barrier's gradient is q - mu g0 and
+    its Hessian mu h0.
+    """
+    lead = m.shape[:-2]
+    x = (np.linalg.inv(m).reshape(*lead, 16) @ _COEF).real
+    h0 = ((x[..., _K] * x[..., _L]) @ _TEN)[..., _H_UNFOLD].reshape(*lead, 9, 9)
+    return x[..., _FREE_INDEX], h0
+
+
+def _start_mu(q, v, cfg: SolverConfig):
+    return cfg.mu_initial if cfg.mu_initial > 0 else (1.0 + np.abs(v @ q)) / 4.0
+
+
+def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
+    """Minimize q . v subject to M = m0 + sum_a v[a] F_a being PSD, for one pair.
 
     Log-det barrier path following with damped Newton steps; every iterate is
-    strictly feasible.  Returns (value, M, mu, iterations) at the last
-    iterate, or None when v0 is not strictly feasible.
+    strictly feasible.  Returns (value, M, mu, iterations) at the last iterate;
+    value is NaN when v0 is not strictly feasible (Cholesky fails).
     """
-    v = np.asarray(v0, dtype=float).copy()
-    n = basis.shape[0]
-    basis_flat = basis.reshape(n, 16)
+    v = v0.copy()
     m0_flat = m0.reshape(16)
 
     def assemble(vv):
-        return (m0_flat + vv @ basis_flat).reshape(4, 4)
+        return (m0_flat + vv @ _FREE_FLAT).reshape(4, 4)
 
     mat = assemble(v)
-    logdet = _chol_logdet(mat)
-    if logdet is None or np.linalg.eigvalsh(mat)[0] < 1e-13:
-        return None
+    logdet = _logdet_lanes(mat[None])[0]
+    if not np.isfinite(logdet):
+        return math.nan, mat, 0.0, 0
 
-    mu = cfg.mu_initial if cfg.mu_initial > 0 else (1.0 + abs(float(cvec @ v))) / 4.0
+    mu = float(_start_mu(q, v, cfg))
     # Each barrier stage leaves an objective offset of about 4*mu, so stop a
     # comfortable factor below the requested gap.
     mu_floor = cfg.tolerance / 32.0
     dec_target = cfg.centering_tol**2
     iters = 0
+    parts = None  # Newton parts at mat, kept while only mu changes
 
     while iters < cfg.max_iterations:
-        inv = np.linalg.inv(mat)
-        t = np.matmul(inv, basis)
-        grad = cvec - mu * t.diagonal(axis1=1, axis2=2).sum(axis=1).real
-        # hess[a, b] = mu * tr[t_a @ t_b] with t_a = inv @ basis_a
-        t_flat = t.reshape(n, 16)
-        t_flat_swapped = t.transpose(0, 2, 1).reshape(n, 16)
-        hess = mu * (t_flat @ t_flat_swapped.T).real
-        hess = 0.5 * (hess + hess.T)
-        try:
-            delta = -np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            delta = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        if parts is None:
+            parts = _newton_parts(mat)
+        g0, h0 = parts
+        grad = q - mu * g0
+        delta = -_solve_lanes((mu * h0)[None], grad[None])[0]
         # Newton decrement of the self-concordant centering problem
-        # (1/mu) cvec.v - logdet: the mu division keeps the proximity
+        # (1/mu) q.v - logdet: the mu division keeps the proximity
         # test meaningful as mu shrinks.
         dec_sq = max(float(-grad @ delta), 0.0) / mu
         if dec_sq <= dec_target:
@@ -229,65 +298,235 @@ def _barrier_minimize(cvec, m0, basis, v0, cfg: SolverConfig):
                 break
             mu = max(mu * cfg.mu_shrink, mu_floor)
             continue
-        f0 = float(cvec @ v) - mu * logdet
+        f0 = float(v @ q) - mu * logdet
         slope = float(grad @ delta)
         step = 1.0 if dec_sq <= 0.0625 else 1.0 / (1.0 + math.sqrt(dec_sq))
         accepted = False
         for _ in range(40):
             vn = v + step * delta
             matn = assemble(vn)
-            ld = _chol_logdet(matn)
-            if ld is not None:
-                fn = float(cvec @ vn) - mu * ld
-                if fn <= f0 + 0.25 * step * slope:
-                    accepted = True
-                    break
+            ld = _logdet_lanes(matn[None])[0]
+            if float(vn @ q) - mu * ld <= f0 + 0.25 * step * slope:
+                accepted = True
+                break
             step *= 0.5
         iters += 1
         if not accepted:
             break
-        v, mat, logdet = vn, matn, ld
+        v, mat, logdet, parts = vn, matn, ld, None
 
-    return float(cvec @ v), mat, mu, iters
+    return float(v @ q), mat, mu, iters
 
 
-def _barrier_solve(rho, omega, cmat, cfg: SolverConfig):
-    """One barrier run for min tr[Pi C] over couplings, plus its certificate.
+def _barrier_minimize_lanes(q, m0, v0, cfg: SolverConfig):
+    """`_barrier_minimize` on a stack of problems that share the objective q.
 
-    At the last iterate Pi, with barrier weight mu and Newton step D, the
-    slack Z = mu (Pi^-1 - Pi^-1 D Pi^-1) matches C on the free directions (the
-    Newton equation) and is positive definite once the Newton decrement is
-    below one (Boyd & Vandenberghe, 11.2.2 and 11.6).  Free and marginal
-    operators are Hilbert-Schmidt complements, so projecting C - Z onto the
-    marginal operators G_k gives multipliers y, and by weak duality
-    b . y + min(0, lambda_min(C - sum_k y[k] G_k)) is a lower bound however the
-    barrier ended.  Returns (primal_value, matrix, lower_bound, iterations) or
-    None when the product coupling is too close to singular.
+    Every lane follows the single-pair rules with its own mu, decrement test,
+    damped step, Armijo search and iteration budget, and leaves the working
+    set when it finishes.  Returns stacks (value, M, mu, iterations).
     """
-    fixed, bvec, b_omega, b_rho_t = _affine_parts(rho, omega)
-    q = np.einsum("aij,ji->a", _FREE, cmat).real
-    k0 = float(np.einsum("ij,ji->", fixed, cmat).real)
-    x0 = np.outer(b_omega, b_rho_t).ravel()
+    n = len(v0)
+    m0_flat = m0.reshape(n, 16)
+    mat_out = (m0_flat + v0 @ _FREE_FLAT).reshape(n, 4, 4)
+    logdet = _logdet_lanes(mat_out)
+    value = np.full(n, np.nan)
+    mu_out = np.zeros(n)
+    iters_out = np.zeros(n, dtype=int)
 
-    primal = _barrier_minimize(q, fixed, _FREE, x0, cfg)
-    if primal is None:
-        return None
-    primal_value, pi, mu, iters = primal
+    idx = np.flatnonzero(np.isfinite(logdet))
+    v, m0_flat, mat, logdet = v0[idx], m0_flat[idx], mat_out[idx], logdet[idx]
+    mu = np.broadcast_to(_start_mu(q, v, cfg), idx.shape).astype(float)
+    iters = np.zeros(len(idx), dtype=int)
+    g0, h0 = np.empty((len(idx), 9)), np.empty((len(idx), 9, 9))
+    stale = np.ones(len(idx), dtype=bool)  # lanes whose M moved since g0, h0
+    mu_floor = cfg.tolerance / 32.0
+    dec_target = cfg.centering_tol**2
 
-    # Newton step in the basis W_a = L^-1 F_a L^-H (Pi = L L^H): its Hessian is
-    # a Gram matrix, which stays PSD in floating point as Pi nears singularity,
-    # where the path's inv(Pi)-based Hessian goes indefinite.
+    while idx.size:
+        if stale.any():
+            g0[stale], h0[stale] = _newton_parts(mat[stale])
+            stale[:] = False
+        grad = q - mu[:, None] * g0
+        delta = -_solve_lanes(mu[:, None, None] * h0, grad)
+        slope = (grad * delta).sum(axis=1)
+        dec_sq = np.maximum(-slope, 0.0) / mu
+        centered = dec_sq <= dec_target
+        done = centered & (mu <= mu_floor)
+        shrink = centered & ~done
+        mu[shrink] = np.maximum(mu[shrink] * cfg.mu_shrink, mu_floor)
+
+        s = np.flatnonzero(~centered)
+        if s.size:
+            f0 = v[s] @ q - mu[s] * logdet[s]
+            step = np.where(dec_sq[s] <= 0.0625, 1.0, 1.0 / (1.0 + np.sqrt(dec_sq[s])))
+            pending = np.arange(s.size)
+            for _ in range(40):
+                lane = s[pending]
+                vn = v[lane] + step[pending, None] * delta[lane]
+                matn = (m0_flat[lane] + vn @ _FREE_FLAT).reshape(-1, 4, 4)
+                ld = _logdet_lanes(matn)
+                ok = vn @ q - mu[lane] * ld <= f0[pending] + 0.25 * step[pending] * slope[lane]
+                hit = lane[ok]
+                v[hit], mat[hit], logdet[hit] = vn[ok], matn[ok], ld[ok]
+                stale[hit] = True
+                pending = pending[~ok]
+                if not pending.size:
+                    break
+                step[pending] *= 0.5
+            iters[s] += 1
+            done[s[pending]] = True  # no acceptable step in 40 halvings
+
+        done |= iters >= cfg.max_iterations
+        if done.any():
+            out = idx[done]
+            value[out] = v[done] @ q
+            mat_out[out], mu_out[out], iters_out[out] = mat[done], mu[done], iters[done]
+            keep = ~done
+            idx, v, m0_flat, mat, logdet = idx[keep], v[keep], m0_flat[keep], mat[keep], logdet[keep]
+            mu, iters, g0, h0, stale = mu[keep], iters[keep], g0[keep], h0[keep], stale[keep]
+
+    return value, mat_out, mu_out, iters_out
+
+
+def _lower_bounds(q, cmat, bvec, pi, mu):
+    """Certified lower bounds on min tr[Pi C] from a stack of last iterates.
+
+    At an iterate Pi with barrier weight mu and Newton step D, the slack
+    Z = mu (Pi^-1 - Pi^-1 D Pi^-1) matches C on the free directions (the Newton
+    equation) and is positive definite once the Newton decrement is below one
+    (Boyd & Vandenberghe, 11.2.2 and 11.6).  Free and marginal operators are
+    Hilbert-Schmidt complements, so projecting C - Z onto the marginal operators
+    G_k gives multipliers y, and by weak duality
+    b . y + min(0, lambda_min(C - sum_k y[k] G_k)) is a lower bound however the
+    barrier ended.
+
+    The Newton step is taken in the basis W_a = L^-1 F_a L^-H (Pi = L L^H): its
+    Hessian is a Gram matrix, which stays PSD in floating point as Pi nears
+    singularity, where the path's inv(Pi)-based Hessian goes indefinite.
+    """
+    n = len(pi)
     linv = np.linalg.inv(np.linalg.cholesky(pi))
-    w = linv @ _FREE @ linv.conj().T
-    w_flat = w.reshape(len(_FREE), 16)
-    grad = q - mu * w.trace(axis1=1, axis2=2).real
-    delta = -np.linalg.lstsq(mu * (w_flat @ w_flat.conj().T).real, grad, rcond=None)[0]
-    z = mu * (linv.conj().T @ (np.eye(4) - np.tensordot(delta, w, axes=1)) @ linv)
-
-    y = np.einsum("kij,ji->k", _CONSTRAINTS, cmat - z).real / 4.0
+    linv_h = linv.conj().transpose(0, 2, 1)
+    w = linv[:, None] @ _FREE @ linv_h[:, None]
+    w_flat = w.reshape(n, 9, 16)
+    grad = q - mu[:, None] * np.trace(w, axis1=2, axis2=3).real
+    gram = mu[:, None, None] * (w_flat @ w_flat.conj().transpose(0, 2, 1)).real
+    delta = -_solve_lanes(gram, grad)
+    step = (delta[:, None, :] @ w_flat).reshape(n, 4, 4)
+    z = mu[:, None, None] * (linv_h @ (np.eye(4) - step) @ linv)
+    y = np.einsum("kij,nji->nk", _CONSTRAINTS, cmat - z).real / 4.0
     dual_slack = cmat - np.tensordot(y, _CONSTRAINTS, axes=1)
-    lower = float(bvec @ y) + min(0.0, float(np.linalg.eigvalsh(dual_slack)[0]))
-    return primal_value + k0, pi, lower, iters
+    return (bvec * y).sum(axis=1) + np.minimum(0.0, np.linalg.eigvalsh(dual_slack)[:, 0])
+
+
+def _closed_forms(rhos, omegas, fast_paths: bool):
+    """Masks (identical, pure) of the pairs whose optimum is taken in closed form.
+
+    With fast paths on, identical states take the vec(sqrt(rho)) coupling and
+    a marginal within `PURITY_TOL` of pure takes the product coupling.  With
+    them off, only a marginal pure to roundoff (`SINGLETON_TOL`) does: its
+    coupling set is the single product coupling, which the barrier cannot
+    enter, while a merely near-pure marginal is left to the barrier.
+    """
+    identical = np.zeros(len(rhos), dtype=bool)
+    if fast_paths:
+        identical = (np.abs(rhos - omegas) <= STATE_EQUAL_ATOL).all(axis=(1, 2))
+    tol = PURITY_TOL if fast_paths else SINGLETON_TOL
+    pure = is_pure(np.stack((rhos, omegas)), tol).any(axis=0) & ~identical
+    return identical, pure
+
+
+def _state_stacks(rhos, omegas) -> list:
+    """Validated (N, 2, 2) stacks of the first and second states of N pairs."""
+    stacks = [
+        np.array([validate_state(s, what) for s in states], dtype=complex).reshape(-1, 2, 2)
+        for states, what in ((rhos, "rho"), (omegas, "omega"))
+    ]
+    if len(stacks[0]) != len(stacks[1]):
+        raise DomainError(f"{len(stacks[0])} first states but {len(stacks[1])} second states")
+    return stacks
+
+
+# Most lanes one batched barrier runs: its temporaries take about 10 kB per
+# lane, and the time per lane hardly falls beyond about a hundred lanes.
+_MAX_LANES = 128
+
+
+def _solve_barrier(rhos, omegas, cmat, prod_val, cfg: SolverConfig):
+    """Barrier solve and certificate for pairs without a closed form.
+
+    Returns per pair (value, barrier_wins, M, gap, iterations); the product
+    coupling, whose cost is prod_val, stands wherever the barrier's M does
+    no better.
+    """
+    fixed, bvec, x0 = _affine_parts(rhos, omegas)
+    q = np.einsum("aij,ji->a", _FREE, cmat).real
+    if len(rhos) == 1:
+        solved = [np.array([x]) for x in _barrier_minimize(q, fixed[0], x0[0], cfg)]
+    else:
+        solved = _barrier_minimize_lanes(q, fixed, x0, cfg)
+    primal, pi, mu, steps = solved
+    primal = primal + np.einsum("nij,ji->n", fixed, cmat).real
+    # No strict interior (Cholesky fails at the product coupling): keep the
+    # product, bounded below by tr[Pi C] >= lambda_min(C).
+    lower = np.full(len(rhos), float(np.linalg.eigvalsh(cmat)[0]))
+    interior = np.isfinite(primal)
+    if interior.any():
+        lower[interior] = _lower_bounds(q, cmat, bvec[interior], pi[interior], mu[interior])
+    # The product coupling is itself feasible; never return anything worse.
+    wins = interior & (primal <= prod_val)
+    best = np.where(wins, primal, prod_val)
+    if (best < -1e-9).any():
+        raise InternalConsistencyError(f"negative transport cost {best.min():.3e}")
+    return best, wins, pi, np.maximum(best - lower, 0.0), steps
+
+
+def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> list:
+    """`solve_min_coupling` for each pair (rhos[i], omegas[i]): one result per pair.
+
+    Closed forms are decided per pair.  The pairs left for the interior-point
+    solve run together in batched barriers of up to `_MAX_LANES` pairs, each
+    pair with its own path and certificate; a single pair runs the
+    single-pair loop, which is faster for one pair.  Results do not depend on
+    how pairs are grouped.
+    """
+    cfg = config if config is not None else SolverConfig()
+    rhos, omegas = _state_stacks(rhos, omegas)
+    cmat = cost_matrix(c)
+    rho_ts = np.ascontiguousarray(rhos.transpose(0, 2, 1))
+    n = len(rhos)
+
+    mats = np.einsum("nij,nkl->nikjl", omegas, rho_ts).reshape(n, 4, 4)  # product couplings
+    prod_val = coupling_cost(mats, cmat)
+    value = prod_val.copy()
+    gap = np.zeros(n)
+    iters = np.zeros(n, dtype=int)
+
+    identical, pure = _closed_forms(rhos, omegas, cfg.fast_paths)
+    for i in np.flatnonzero(identical):
+        mats[i] = purification_coupling(rhos[i]).matrix
+    value[identical] = coupling_cost(mats[identical], cmat)
+
+    lanes = np.flatnonzero(~identical & ~pure)
+    for start in range(0, lanes.size, _MAX_LANES):
+        block = lanes[start:start + _MAX_LANES]
+        value[block], wins, pi, gap[block], iters[block] = _solve_barrier(
+            rhos[block], omegas[block], cmat, prod_val[block], cfg
+        )
+        mats[block[wins]] = pi[wins]
+
+    value = np.maximum(value, 0.0)
+    closed = identical | pure
+    return [
+        TransportResult(
+            float(value[i]),
+            Coupling(mats[i], omegas[i], rho_ts[i]),
+            "closed_form" if closed[i] else "converged" if gap[i] <= cfg.tolerance else "max_iterations",
+            float(gap[i]),
+            int(iters[i]),
+        )
+        for i in range(n)
+    ]
 
 
 def solve_min_coupling(rho, omega, c, config: SolverConfig | None = None) -> TransportResult:
@@ -298,44 +537,7 @@ def solve_min_coupling(rho, omega, c, config: SolverConfig | None = None) -> Tra
     from optimality when the status is "converged" or "max_iterations", and is
     zero on the exact closed-form paths.
     """
-    cfg = config if config is not None else SolverConfig()
-    rho = validate_state(rho, "rho")
-    omega = validate_state(omega, "omega")
-    cmat = cost_matrix(c)
-
-    if cfg.fast_paths:
-        if np.allclose(rho, omega, rtol=0.0, atol=STATE_EQUAL_ATOL):
-            pi = purification_coupling(rho)
-            val = max(coupling_cost(pi, cmat), 0.0)
-            return TransportResult(val, pi, "closed_form", 0.0, 0)
-        if is_pure(rho) or is_pure(omega):
-            pi = product_coupling(rho, omega)
-            val = max(coupling_cost(pi, cmat), 0.0)
-            return TransportResult(val, pi, "closed_form", 0.0, 0)
-
-    prod = product_coupling(rho, omega)
-    prod_val = coupling_cost(prod, cmat)
-
-    solved = _barrier_solve(rho, omega, cmat, cfg)
-    if solved is None:
-        # A rank-deficient marginal leaves no interior: the feasible set is the
-        # singleton product coupling (or the purification when rho == omega).
-        if np.allclose(rho, omega, rtol=0.0, atol=STATE_EQUAL_ATOL):
-            pi = purification_coupling(rho)
-            return TransportResult(max(coupling_cost(pi, cmat), 0.0), pi, "closed_form", 0.0, 0)
-        return TransportResult(max(prod_val, 0.0), prod, "closed_form", 0.0, 0)
-
-    primal, pi_matrix, lower_bound, iters = solved
-    if prod_val < primal:
-        # The product coupling is itself feasible; never return anything worse.
-        primal, pi_matrix = prod_val, prod.matrix
-    gap = max(primal - lower_bound, 0.0)
-    if primal < -1e-9:
-        raise InternalConsistencyError(f"negative transport cost {primal:.3e}")
-    value = max(primal, 0.0)
-    coupling = Coupling(pi_matrix, omega, transpose_op(rho))
-    status = "converged" if gap <= cfg.tolerance else "max_iterations"
-    return TransportResult(value, coupling, status, float(gap), iters)
+    return solve_min_couplings([rho], [omega], c, config)[0]
 
 
 def self_distance_sq(rho, c) -> float:
@@ -348,17 +550,7 @@ def wasserstein_distance(rho, omega, c, config: SolverConfig | None = None) -> f
     return math.sqrt(solve_min_coupling(rho, omega, c, config).optimal_value)
 
 
-def divergence_breakdown(rho, omega, c, config: SolverConfig | None = None) -> DivergenceBreakdown:
-    """Squared distance, both self-distances, and the (unclamped) radicand."""
-    cfg = config if config is not None else SolverConfig()
-    if cfg.fast_paths and np.allclose(rho, omega, rtol=0.0, atol=STATE_EQUAL_ATOL):
-        # identical states: route the distance through the same arithmetic as
-        # the self-distance so the radicand cancels to exactly zero
-        s = self_distance_sq(rho, c)
-        return DivergenceBreakdown(s, s, s, 0.0, 0.0, "closed_form")
-    res = solve_min_coupling(rho, omega, c, cfg)
-    s1 = self_distance_sq(rho, c)
-    s2 = self_distance_sq(omega, c)
+def _breakdown(res: TransportResult, s1: float, s2: float, cfg: SolverConfig) -> DivergenceBreakdown:
     radicand = res.optimal_value - 0.5 * (s1 + s2)
     if radicand < -10.0 * cfg.tolerance:
         raise SolverAccuracyError(
@@ -367,6 +559,31 @@ def divergence_breakdown(rho, omega, c, config: SolverConfig | None = None) -> D
         )
     d = math.sqrt(max(radicand, 0.0))
     return DivergenceBreakdown(res.optimal_value, s1, s2, radicand, d, res.solver_status)
+
+
+def divergence_breakdown(rho, omega, c, config: SolverConfig | None = None) -> DivergenceBreakdown:
+    """Squared distance, both self-distances, and the (unclamped) radicand."""
+    return divergence_breakdowns([rho], [omega], c, config)[0]
+
+
+def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -> list:
+    """`divergence_breakdown` for each pair (rhos[i], omegas[i]), with one
+    batched transport solve."""
+    cfg = config if config is not None else SolverConfig()
+    rhos, omegas = _state_stacks(rhos, omegas)
+    identical = _closed_forms(rhos, omegas, cfg.fast_paths)[0]
+    lanes = np.flatnonzero(~identical)
+    solved = dict(zip(lanes, solve_min_couplings(rhos[lanes], omegas[lanes], c, cfg)))
+    out = []
+    for i in range(len(rhos)):
+        if identical[i]:
+            # identical states: route the distance through the same arithmetic
+            # as the self-distance so the radicand cancels to exactly zero
+            s = self_distance_sq(rhos[i], c)
+            out.append(DivergenceBreakdown(s, s, s, 0.0, 0.0, "closed_form"))
+        else:
+            out.append(_breakdown(solved[i], self_distance_sq(rhos[i], c), self_distance_sq(omegas[i], c), cfg))
+    return out
 
 
 def wasserstein_divergence(rho, omega, c, config: SolverConfig | None = None) -> float:

@@ -2,15 +2,14 @@
 
 Each suite draws seeded samples, measures deviations against the transport
 solver, and returns a structured result the CLI can serialize.  Per-sample
-random streams are derived from (seed, counter), so results do not depend on
-evaluation order; the optional QWASSER_THREADS environment variable only
-parallelizes independent samples.
+random streams are derived from (seed, counter).  A suite draws its pairs
+first and solves them together in batched calls (`solve_min_couplings`,
+`divergence_breakdowns`, `check_isometries`), whose per-pair results do not
+depend on the grouping.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .cost import sym_cost, z_cost
 from .errors import DomainError
 from .isometry import (
     MAP_FAMILIES,
-    check_isometry,
+    check_isometries,
     sample_non_rigid_map,
     sample_wigner_map,
     sample_z_phase_field_map,
@@ -30,13 +29,13 @@ from .states import bloch_from_state, state_from_bloch
 from .transport import (
     SolverConfig,
     coupling_cost,
-    divergence_breakdown,
+    divergence_breakdowns,
     product_coupling,
     self_distance_sq,
     solve_min_coupling,
+    solve_min_couplings,
     sym_self_distance_sq_closed,
     sym_self_distance_sq_published,
-    wasserstein_divergence,
     z_self_distance_sq_closed,
     z_self_distance_sq_published,
 )
@@ -74,23 +73,6 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("QWASSER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def indexed_map(fn, n: int) -> list:
-    """[fn(0), ..., fn(n-1)], possibly thread-parallel, always in index order."""
-    workers = _env_threads()
-    if workers == 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def _bloch_list(rho) -> list:
     return [float(v) for v in bloch_from_state(rho)]
 
@@ -108,6 +90,27 @@ def _check(name, deviations, tolerance, witnesses=None, notes="") -> CheckResult
     )
 
 
+def _values(results) -> np.ndarray:
+    return np.array([r.optimal_value for r in results])
+
+
+def _pure_pairs(seed: int, samples: int) -> np.ndarray:
+    """Bloch vectors (b1, b2) on the sphere, pair i drawn from derived_rng(seed, i)."""
+    pairs = []
+    for i in range(samples):
+        rng = derived_rng(seed, i)
+        pairs.append((random_bloch_on_sphere(rng), random_bloch_on_sphere(rng)))
+    return np.array(pairs).reshape(-1, 2, 3).transpose(1, 0, 2)
+
+
+def _ball_blochs(seed: int, first: int, samples: int) -> np.ndarray:
+    return np.array([random_bloch_in_ball(derived_rng(seed, first + i)) for i in range(samples)]).reshape(-1, 3)
+
+
+def _states(blochs) -> list:
+    return [state_from_bloch(b) for b in blochs]
+
+
 def suite_sym_closed_forms(
     samples: int = 500, seed: int = 0, tolerance: float = 1e-6, config: SolverConfig | None = None
 ) -> SuiteResult:
@@ -116,39 +119,28 @@ def suite_sym_closed_forms(
     c = sym_cost()
     forced = SolverConfig(fast_paths=False) if config is None else config
 
-    def pure_pair(i):
-        rng = derived_rng(seed, i)
-        b1, b2 = random_bloch_on_sphere(rng), random_bloch_on_sphere(rng)
-        r1, r2 = state_from_bloch(b1), state_from_bloch(b2)
-        cost = solve_min_coupling(r1, r2, c).optimal_value
-        div = wasserstein_divergence(r1, r2, c)
-        return abs(cost - (6.0 - 2.0 * float(b1 @ b2))), abs(div - float(np.linalg.norm(b1 - b2)))
+    b1, b2 = _pure_pairs(seed, samples)
+    r1, r2 = _states(b1), _states(b2)
+    costs = _values(solve_min_couplings(r1, r2, c))
+    divs = np.array([d.divergence for d in divergence_breakdowns(r1, r2, c)])
+    cost_devs = np.abs(costs - (6.0 - 2.0 * (b1 * b2).sum(axis=1)))
+    div_devs = np.abs(divs - np.linalg.norm(b1 - b2, axis=1))
 
-    pair_devs = indexed_map(pure_pair, samples)
-    cost_devs = [d[0] for d in pair_devs]
-    div_devs = [d[1] for d in pair_devs]
+    self_pure_devs = []
+    for i in range(min(samples, 200)):
+        rho = state_from_bloch(random_bloch_on_sphere(derived_rng(seed, 10_000 + i)))
+        self_pure_devs.append(abs(coupling_cost(product_coupling(rho, rho), c) - 4.0))
 
-    def pure_self(i):
-        rng = derived_rng(seed, 10_000 + i)
-        rho = state_from_bloch(random_bloch_on_sphere(rng))
-        return abs(coupling_cost(product_coupling(rho, rho), c) - 4.0)
-
-    self_pure_devs = indexed_map(pure_self, min(samples, 200))
-
-    def self_triple(i):
-        rng = derived_rng(seed, 20_000 + i)
-        b = random_bloch_in_ball(rng)
-        rho = state_from_bloch(b)
-        sdp = solve_min_coupling(rho, rho, c, forced).optimal_value
+    blochs = _ball_blochs(seed, 20_000, samples)
+    rhos = _states(blochs)
+    sdp = _values(solve_min_couplings(rhos, rhos, c, forced))
+    triple_devs, published_devs = [], []
+    for b, rho, s in zip(blochs, rhos, sdp):
         pur = self_distance_sq(rho, c)
         closed = sym_self_distance_sq_closed(float(np.linalg.norm(b)))
         published = sym_self_distance_sq_published(float(np.linalg.norm(b)))
-        return (
-            max(abs(sdp - pur), abs(sdp - closed), abs(pur - closed)),
-            abs(pur - 2.0 * published),
-        )
-
-    triples = indexed_map(self_triple, samples)
+        triple_devs.append(max(abs(s - pur), abs(s - closed), abs(pur - closed)))
+        published_devs.append(abs(pur - 2.0 * published))
 
     return SuiteResult(
         suite="sym-closed-forms",
@@ -161,13 +153,13 @@ def suite_sym_closed_forms(
             _check("pure-self-product-cost-4", self_pure_devs, tolerance),
             _check(
                 "self-distance-sdp-purification-closed-form",
-                [t[0] for t in triples],
+                triple_devs,
                 tolerance,
                 notes="solver, vec(sqrt(rho)) coupling, and 4(1-sqrt(1-|b|^2)) agree",
             ),
             _check(
                 "published-self-distance-formula-flagged",
-                [t[1] for t in triples],
+                published_devs,
                 tolerance,
                 notes=(
                     "documented discrepancy: the published closed form "
@@ -187,38 +179,25 @@ def suite_z_closed_forms(
     c = z_cost()
     forced = SolverConfig(fast_paths=False) if config is None else config
 
-    def pure_pair(i):
-        rng = derived_rng(seed, i)
-        b1, b2 = random_bloch_on_sphere(rng), random_bloch_on_sphere(rng)
-        cost = solve_min_coupling(state_from_bloch(b1), state_from_bloch(b2), c).optimal_value
-        return abs(cost - (2.0 - 2.0 * float(b1[2] * b2[2])))
+    b1, b2 = _pure_pairs(seed, samples)
+    costs = _values(solve_min_couplings(_states(b1), _states(b2), c))
+    pair_devs = np.abs(costs - (2.0 - 2.0 * b1[:, 2] * b2[:, 2]))
 
-    pair_devs = indexed_map(pure_pair, samples)
+    tu = np.array([derived_rng(seed, 30_000 + i).uniform(-0.98, 0.98, size=2)
+                   for i in range(min(samples, 100))]).reshape(-1, 2)
+    rho_d, omega_d = ([state_from_bloch((0.0, 0.0, float(t))) for t in col] for col in tu.T)
+    diag_devs = np.abs(_values(solve_min_couplings(rho_d, omega_d, c, forced)) - 2.0 * np.abs(tu[:, 0] - tu[:, 1]))
 
-    def diagonal_pair(i):
-        rng = derived_rng(seed, 30_000 + i)
-        t, u = rng.uniform(-0.98, 0.98, size=2)
-        rho = state_from_bloch((0.0, 0.0, float(t)))
-        omega = state_from_bloch((0.0, 0.0, float(u)))
-        cost = solve_min_coupling(rho, omega, c, forced).optimal_value
-        return abs(cost - 2.0 * abs(float(t - u)))
-
-    diag_devs = indexed_map(diagonal_pair, min(samples, 100))
-
-    def self_triple(i):
-        rng = derived_rng(seed, 20_000 + i)
-        b = random_bloch_in_ball(rng)
-        rho = state_from_bloch(b)
-        sdp = solve_min_coupling(rho, rho, c, forced).optimal_value
+    blochs = _ball_blochs(seed, 20_000, samples)
+    rhos = _states(blochs)
+    sdp = _values(solve_min_couplings(rhos, rhos, c, forced))
+    triple_devs, published_devs = [], []
+    for b, rho, s in zip(blochs, rhos, sdp):
         pur = self_distance_sq(rho, c)
         closed = z_self_distance_sq_closed(float(np.linalg.norm(b)), float(b[2]))
         published = z_self_distance_sq_published(float(np.linalg.norm(b)), float(b[2]))
-        return (
-            max(abs(sdp - pur), abs(sdp - closed), abs(pur - closed)),
-            abs(pur - 4.0 * published),
-        )
-
-    triples = indexed_map(self_triple, samples)
+        triple_devs.append(max(abs(s - pur), abs(s - closed), abs(pur - closed)))
+        published_devs.append(abs(pur - 4.0 * published))
 
     poles = solve_min_coupling(
         state_from_bloch((0.0, 0.0, 1.0)), state_from_bloch((0.0, 0.0, -1.0)), c
@@ -235,7 +214,7 @@ def suite_z_closed_forms(
             _check("pole-pair-squared-diameter-4", [abs(poles - 4.0)], tolerance),
             _check(
                 "self-distance-sdp-purification-closed-form",
-                [t[0] for t in triples],
+                triple_devs,
                 tolerance,
                 notes=(
                     "solver, vec(sqrt(rho)) coupling, and "
@@ -244,7 +223,7 @@ def suite_z_closed_forms(
             ),
             _check(
                 "published-self-distance-formula-flagged",
-                [t[1] for t in triples],
+                published_devs,
                 tolerance,
                 notes=(
                     "documented discrepancy: the published closed form "
@@ -261,35 +240,29 @@ def suite_dsym_isometries(
 ) -> SuiteResult:
     """Unitary and antiunitary conjugations preserve both the distance and the
     divergence of the all-Pauli cost; non-rigid maps are caught with witnesses."""
-
-    def wigner(i):
-        state_map = sample_wigner_map(derived_rng(seed, i))
-        dist = check_isometry(state_map, "D_sym", 8, tolerance, seed + i, config)
-        div = check_isometry(state_map, "d_sym", 8, tolerance, seed + i, config)
-        return max(dist.max_abs_deviation, div.max_abs_deviation)
-
-    wigner_devs = indexed_map(wigner, samples)
+    wigner = [sample_wigner_map(derived_rng(seed, i)) for i in range(samples)]
+    seeds = [seed + i for i in range(samples)]
+    dist = check_isometries(wigner, seeds, "D_sym", 8, tolerance, config)
+    div = check_isometries(wigner, seeds, "d_sym", 8, tolerance, config)
+    wigner_devs = [max(a.max_abs_deviation, b.max_abs_deviation) for a, b in zip(dist, div)]
 
     n_adv = max(4, samples // 10)
-
-    def adversarial(i):
+    adversarial = []
+    for i in range(n_adv):
         rng = derived_rng(seed, 50_000 + i)
-        state_map = sample_z_phase_field_map(rng) if i % 2 else sample_non_rigid_map(rng)
-        report = check_isometry(state_map, "d_sym", 8, 1e-4, seed + i, config)
-        witness = None
+        adversarial.append(sample_z_phase_field_map(rng) if i % 2 else sample_non_rigid_map(rng))
+    reports = check_isometries(adversarial, [seed + i for i in range(n_adv)], "d_sym", 8, 1e-4, config)
+    missed = [i for i, r in enumerate(reports) if r.verdict != "violated"]
+    witnesses = []
+    for state_map, report in zip(adversarial, reports):
         if report.witness_pair is not None:
             rho, omega, dev = report.witness_pair
-            witness = {
+            witnesses.append({
                 "map": state_map.label,
                 "bloch_rho": _bloch_list(rho),
                 "bloch_omega": _bloch_list(omega),
                 "deviation": float(dev),
-            }
-        return report.verdict == "violated", witness
-
-    adversarial_out = indexed_map(adversarial, n_adv)
-    missed = [i for i, (violated, _) in enumerate(adversarial_out) if not violated]
-    witnesses = [w for _, w in adversarial_out if w is not None]
+            })
 
     return SuiteResult(
         suite="dsym-isometries",
@@ -359,32 +332,26 @@ def suite_divergence_triangle(
     reported with the offending triple rather than silently dropped.
     """
     c = sym_cost()
-
-    def triple(i):
+    edges = ((0, 1), (0, 2), (1, 2))
+    triples = []
+    for i in range(samples):
         rng = derived_rng(seed, i)
-        states = [state_from_bloch(random_bloch_in_ball(rng)) for _ in range(3)]
-        d01 = divergence_breakdown(states[0], states[1], c, config)
-        d02 = divergence_breakdown(states[0], states[2], c, config)
-        d12 = divergence_breakdown(states[1], states[2], c, config)
-        excess = max(
-            d01.divergence - d02.divergence - d12.divergence,
-            d02.divergence - d01.divergence - d12.divergence,
-            d12.divergence - d01.divergence - d02.divergence,
-        )
-        min_radicand = min(d01.radicand, d02.radicand, d12.radicand)
-        witness = None
+        triples.append([state_from_bloch(random_bloch_in_ball(rng)) for _ in range(3)])
+    breakdowns = divergence_breakdowns(
+        [t[a] for t in triples for a, _ in edges], [t[b] for t in triples for _, b in edges], c, config
+    )
+    excesses, witnesses = [], []
+    for k, states in enumerate(triples):
+        d01, d02, d12 = (br.divergence for br in breakdowns[3 * k:3 * k + 3])
+        excess = max(d01 - d02 - d12, d02 - d01 - d12, d12 - d01 - d02)
+        excesses.append(max(excess, 0.0))
         if excess > tolerance:
-            witness = {
+            witnesses.append({
                 "blochs": [_bloch_list(s) for s in states],
-                "divergences": [d01.divergence, d02.divergence, d12.divergence],
+                "divergences": [d01, d02, d12],
                 "excess": float(excess),
-            }
-        return excess, min_radicand, witness
-
-    rows = indexed_map(triple, samples)
-    excesses = [max(r[0], 0.0) for r in rows]
-    min_radicand = min(r[1] for r in rows)
-    witnesses = [r[2] for r in rows if r[2] is not None]
+            })
+    min_radicand = min((br.radicand for br in breakdowns), default=np.inf)
 
     return SuiteResult(
         suite="divergence-triangle",
@@ -411,14 +378,6 @@ _SUITE_FNS = {
     "divergence-triangle": suite_divergence_triangle,
 }
 
-_SUITE_DEFAULT_SAMPLES = {
-    "sym-closed-forms": 500,
-    "z-closed-forms": 500,
-    "dsym-isometries": 50,
-    "dz-theorem": 50,
-    "divergence-triangle": 200,
-}
-
 
 def run_suite(
     name: str,
@@ -429,9 +388,9 @@ def run_suite(
 ) -> SuiteResult:
     if name not in _SUITE_FNS:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if samples is None:
-        samples = _SUITE_DEFAULT_SAMPLES[name]
-    kwargs = {"samples": samples, "seed": seed, "config": config}
+    kwargs = {"seed": seed, "config": config}
+    if samples is not None:
+        kwargs["samples"] = samples
     if tolerance is not None:
         kwargs["tolerance"] = tolerance
     return _SUITE_FNS[name](**kwargs)

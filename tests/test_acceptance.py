@@ -21,6 +21,7 @@ from qwasser.transport import (
     product_coupling,
     self_distance_sq,
     solve_min_coupling,
+    solve_min_couplings,
     sym_self_distance_sq_closed,
     sym_self_distance_sq_published,
     wasserstein_divergence,
@@ -96,16 +97,17 @@ def test_criterion_03_divergence_euclidean_law():
 def test_criterion_04_self_distance_triple_agreement():
     dev_authoritative = 0.0  # SDP vs purification vs calibrated closed form
     dev_published_scale = 0.0  # documented discrepancy: fixed multiple of the optimum
-    for i in range(500):
-        rng = derived_rng(104, i)
-        b = random_bloch_in_ball(rng)
-        rho = state_from_bloch(b)
+    blochs = [random_bloch_in_ball(derived_rng(104, i)) for i in range(500)]
+    rhos = [state_from_bloch(b) for b in blochs]
+    sdp_sym = solve_min_couplings(rhos, rhos, C_SYM, FORCED)
+    sdp_z = solve_min_couplings(rhos, rhos, C_Z, FORCED)
+    for b, rho, res_sym, res_z in zip(blochs, rhos, sdp_sym, sdp_z):
         r, b3 = float(np.linalg.norm(b)), float(b[2])
-        for c, closed, published in (
-            (C_SYM, sym_self_distance_sq_closed(r), sym_self_distance_sq_published(r)),
-            (C_Z, z_self_distance_sq_closed(r, b3), z_self_distance_sq_published(r, b3)),
+        for c, res, closed, published in (
+            (C_SYM, res_sym, sym_self_distance_sq_closed(r), sym_self_distance_sq_published(r)),
+            (C_Z, res_z, z_self_distance_sq_closed(r, b3), z_self_distance_sq_published(r, b3)),
         ):
-            sdp = solve_min_coupling(rho, rho, c, FORCED).optimal_value
+            sdp = res.optimal_value
             pur = self_distance_sq(rho, c)
             dev_authoritative = max(
                 dev_authoritative,
@@ -129,10 +131,15 @@ def test_criterion_04_self_distance_triple_agreement():
 def test_criterion_05_dz_diameter():
     max_val = -1.0
     near_diameter = []
+    pairs = []
     for i in range(9999):
         rng = derived_rng(105, i)
-        b1, b2 = random_bloch_in_ball(rng), random_bloch_in_ball(rng)
-        val = solve_min_coupling(state_from_bloch(b1), state_from_bloch(b2), C_Z).optimal_value
+        pairs.append((random_bloch_in_ball(rng), random_bloch_in_ball(rng)))
+    results = solve_min_couplings(
+        [state_from_bloch(b1) for b1, _ in pairs], [state_from_bloch(b2) for _, b2 in pairs], C_Z
+    )
+    for (b1, b2), res in zip(pairs, results):
+        val = res.optimal_value
         max_val = max(max_val, val)
         if val >= 4.0 - 1e-6:
             near_diameter.append((b1, b2, val))

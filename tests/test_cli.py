@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qwasser
 from qwasser.cli import main, parse_state_spec
+from qwasser.errors import InternalConsistencyError, SolverAccuracyError
 
 
 def run_cli(capsys, argv):
@@ -205,17 +207,28 @@ class TestSelfdistTable:
         assert rows and rows[0]["schema_version"] == "1"
 
 
-class TestThreadsEnv:
-    def test_thread_count_does_not_change_results(self, capsys, monkeypatch):
-        argv = ["verify", "dz-theorem", "--samples", "2", "--seed", "11", "--json"]
-        monkeypatch.setenv("QWASSER_THREADS", "1")
-        _, out1, _ = run_cli(capsys, argv)
-        monkeypatch.setenv("QWASSER_THREADS", "4")
-        _, out4, _ = run_cli(capsys, argv)
-        rep1, rep4 = json.loads(out1), json.loads(out4)
-        del rep1["wall_time_s"], rep4["wall_time_s"]
-        del rep1["config"]["qwasser_threads"], rep4["config"]["qwasser_threads"]
-        assert rep1 == rep4
+class TestSolverErrors:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            InternalConsistencyError("negative transport cost -1.000e-06"),
+            SolverAccuracyError("divergence radicand -1.000e-06 below -10*tolerance"),
+            np.linalg.LinAlgError("Singular matrix"),
+        ],
+    )
+    def test_solver_failure_is_one_line_exit_3(self, capsys, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("qwasser.cli.solve_min_coupling", failing)
+        monkeypatch.setattr("qwasser.cli.divergence_breakdown", failing)
+        for command in ("distance", "divergence"):
+            code, out, err = run_cli(capsys, [command, "bloch:0.1,0,0", "plus_z"])
+            assert code == 3
+            assert out == ""
+            assert err.count("\n") == 1
+            assert type(error).__name__ in err and str(error) in err
+            assert "Traceback" not in err
 
 
 class TestUsageErrors:

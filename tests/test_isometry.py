@@ -8,10 +8,12 @@ import pytest
 from qwasser.errors import DomainError
 from qwasser.isometry import (
     MAP_FAMILIES,
+    METRICS,
     antiunitary_conj_map,
     apply_state_map,
     bloch_action_matrix,
     bloch_self_map,
+    check_isometries,
     check_isometry,
     discontinuous_z_phase_field_map,
     dz_condition_report,
@@ -142,6 +144,19 @@ class TestCheckIsometry:
         assert report.witness_pair is not None
         rho, omega, dev = report.witness_pair
         assert dev > 1e-5
+
+    def test_maps_checked_together_match_one_map_checks(self):
+        maps = [sample_wigner_map(derived_rng(20, k)) for k in range(2)] + [
+            discontinuous_z_phase_field_map(),
+            bloch_self_map(lambda b: 0.6 * b, "shrink"),
+        ]
+        seeds = [5, 6, 7, 8]
+        for metric in METRICS:
+            together = check_isometries(maps, seeds, metric, n_samples=6)
+            for state_map, seed, report in zip(maps, seeds, together):
+                alone = check_isometry(state_map, metric, n_samples=6, seed=seed)
+                assert report.verdict == alone.verdict
+                assert report.max_abs_deviation == pytest.approx(alone.max_abs_deviation, abs=1e-9)
 
     def test_unknown_metric(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ import pytest
 from qwasser.cost import sym_cost, z_cost
 from qwasser.errors import DomainError, InternalConsistencyError
 from qwasser.linalg import bra_cost_ket, sqrt_psd, tensor, transpose_op
-from qwasser.sampling import random_bloch_in_ball, random_bloch_on_sphere, random_unitary
+from qwasser.sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
 from qwasser.states import state_from_bloch
 from qwasser.transport import (
     Coupling,
@@ -16,10 +16,12 @@ from qwasser.transport import (
     coupling_conjugate,
     coupling_cost,
     divergence_breakdown,
+    divergence_breakdowns,
     product_coupling,
     purification_coupling,
     self_distance_sq,
     solve_min_coupling,
+    solve_min_couplings,
     sym_self_distance_sq_closed,
     sym_self_distance_sq_published,
     wasserstein_distance,
@@ -78,6 +80,14 @@ class TestCouplingCost:
     def test_rejects_large_imaginary_part(self):
         with pytest.raises(InternalConsistencyError):
             coupling_cost(np.eye(4) / 4, 1j * np.eye(4))
+
+    def test_coupling_cost_of_a_stack(self):
+        rng = np.random.default_rng(4)
+        pis = [product_coupling(state_from_bloch(random_bloch_in_ball(rng)),
+                                state_from_bloch(random_bloch_in_ball(rng))) for _ in range(5)]
+        costs = coupling_cost(np.stack([pi.matrix for pi in pis]), C_SYM)
+        assert costs.shape == (5,)
+        assert costs == pytest.approx([coupling_cost(pi, C_SYM) for pi in pis], abs=1e-15)
 
 
 class TestPurificationCoupling:
@@ -204,6 +214,17 @@ class TestSolver:
             )
             forced = solve_min_coupling(*args, C_SYM, FORCED)
             assert forced.solver_status == "closed_form"
+
+    def test_forced_near_pure_marginal_goes_to_the_barrier(self):
+        # within PURITY_TOL of pure but not pure to roundoff: the coupling set
+        # is not a singleton, and the product coupling is far from optimal
+        near = state_from_bloch(np.array([0.36, -0.48, 0.8]) * (1.0 - 5e-9))
+        mixed = state_from_bloch([0.2, 0.3, -0.1])
+        for args in ((near, mixed), (mixed, near)):
+            res = solve_min_coupling(*args, C_SYM, FORCED)
+            assert res.solver_status == "converged"
+            assert res.duality_gap_or_residual <= FORCED.tolerance
+            assert res.optimal_value < coupling_cost(product_coupling(*args), C_SYM) - 1e-5
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -336,3 +357,113 @@ class TestAuxiliaryMonotonicity:
         for c in np.linspace(0.0, 1.0, 21):
             f = (1.0 - np.sqrt(1.0 - ts)) * (1.0 - c / ts)
             assert np.all(np.diff(f) > 0.0)
+
+
+# Both marginals one part in 1e-7 from pure: the barrier has an interior,
+# and the product coupling (2.0 under the z cost) is not optimal.
+NEAR_PURE_X = state_from_bloch([1.0 - 1e-7, 0.0, 0.0])
+NEAR_PURE_MINUS_Z = state_from_bloch([0.0, 0.0, -(1.0 - 1e-7)])
+# Both marginals 1.0000002e-8 from pure (just mixed): Cholesky fails at the
+# product coupling, so the barrier cannot start.
+NO_INTERIOR = (
+    state_from_bloch([0.8096007010440176, 0.5868941758205238, -0.010095110548152183]),
+    state_from_bloch([-0.660720665100535, 0.6352165359620209, -0.3999351636822068]),
+)
+
+
+class TestNoInterior:
+    @pytest.mark.parametrize("c,value", [(C_Z, 1.9999998003), (C_SYM, 5.9991055738)])
+    def test_near_pure_pair_is_solved_not_shortcut(self, c, value):
+        res = solve_min_coupling(NEAR_PURE_X, NEAR_PURE_MINUS_Z, c)
+        assert res.solver_status == "converged"
+        assert res.duality_gap_or_residual <= SolverConfig().tolerance
+        assert res.optimal_value == pytest.approx(value, abs=1e-9)
+        assert res.optimal_value < coupling_cost(product_coupling(NEAR_PURE_X, NEAR_PURE_MINUS_Z), c)
+
+    @pytest.mark.parametrize("c", [C_Z, C_SYM])
+    def test_fallback_gap_is_the_trivial_bound(self, c):
+        res = solve_min_coupling(*NO_INTERIOR, c)
+        product = coupling_cost(product_coupling(*NO_INTERIOR), c)
+        assert res.optimal_value == pytest.approx(product, abs=1e-12)
+        # tr[Pi C] >= lambda_min(C) is all that is known without an interior
+        lam_min = float(np.linalg.eigvalsh(c.matrix)[0])
+        assert res.duality_gap_or_residual == pytest.approx(product - lam_min, abs=1e-12)
+        assert res.solver_status == "max_iterations"
+
+
+class TestNewtonParts:
+    def test_folded_tensor_matches_direct_traces(self):
+        # the Newton builder against tr[M^-1 F_a] and tr[M^-1 F_a M^-1 F_b]
+        from qwasser.transport import _FREE, _newton_parts
+
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        mats = a @ a.conj().transpose(0, 2, 1) + 1e-3 * np.eye(4)
+        t = np.linalg.inv(mats)[:, None] @ _FREE[None]
+        g_ref = np.trace(t, axis1=2, axis2=3).real
+        h_ref = np.einsum("naij,nbji->nab", t, t).real
+        g0, h0 = _newton_parts(mats)
+        scale = np.abs(h_ref).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(h0 - h_ref) <= 1e-12 * scale)
+        assert np.all(np.abs(g0 - g_ref) <= 1e-12 * np.abs(g_ref).max(axis=1)[:, None])
+        g1, h1 = _newton_parts(mats[0])  # one matrix, as the single-pair loop calls it
+        assert np.all(np.abs(h1 - h_ref[0]) <= 1e-12 * scale[0])
+        assert np.all(np.abs(g1 - g_ref[0]) <= 1e-12 * np.abs(g_ref[0]).max())
+
+
+def _mixed_stack():
+    """Shuffled pairs of every kind: pure marginal, identical, near-pure,
+    no interior, and generic mixed."""
+    rng = derived_rng(3003, 0)
+    pairs = []
+    for _ in range(3):
+        pure = state_from_bloch(random_bloch_on_sphere(rng))
+        mixed = state_from_bloch(random_bloch_in_ball(rng))
+        pairs += [(pure, mixed), (mixed, pure), (mixed, mixed.copy())]
+    for log_defect in (-7.5, -6.0, -4.0, -2.0):
+        near = state_from_bloch(random_bloch_on_sphere(rng) * (1.0 - 10.0**log_defect))
+        mixed = state_from_bloch(random_bloch_in_ball(rng))
+        pairs += [(near, mixed), (mixed, near)]
+    pairs += [NO_INTERIOR, (NEAR_PURE_X, NEAR_PURE_MINUS_Z)]
+    for _ in range(8):
+        pairs.append((state_from_bloch(random_bloch_in_ball(rng)), state_from_bloch(random_bloch_in_ball(rng))))
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("c", [C_SYM, C_Z])
+    @pytest.mark.parametrize("config", [None, FORCED])
+    def test_lanes_match_single_solves_anywhere_in_the_stack(self, c, config):
+        pairs = _mixed_stack()
+        rhos, omegas = [p[0] for p in pairs], [p[1] for p in pairs]
+        batched = solve_min_couplings(rhos, omegas, c, config)
+        order = derived_rng(3003, 1).permutation(len(pairs))
+        moved = solve_min_couplings([rhos[i] for i in order], [omegas[i] for i in order], c, config)
+        kinds = set()
+        for k, i in enumerate(order):
+            single = solve_min_coupling(rhos[i], omegas[i], c, config)
+            for res in (batched[i], moved[k]):
+                assert res.solver_status == single.solver_status
+                assert res.optimal_value == pytest.approx(single.optimal_value, abs=1e-11)
+                assert res.optimal_coupling.marginal_residual() <= 1e-8
+            kinds.add(single.solver_status)
+        assert kinds == {"closed_form", "converged", "max_iterations"}
+
+    def test_divergence_breakdowns_match_single_calls(self):
+        pairs = _mixed_stack()
+        rhos, omegas = [p[0] for p in pairs], [p[1] for p in pairs]
+        for br, (rho, omega) in zip(divergence_breakdowns(rhos, omegas, C_SYM), pairs):
+            single = divergence_breakdown(rho, omega, C_SYM)
+            assert br.solver_status == single.solver_status
+            assert br.distance_sq == pytest.approx(single.distance_sq, abs=1e-11)
+            assert br.radicand == pytest.approx(single.radicand, abs=1e-11)
+            assert (br.self_distance_sq_first, br.self_distance_sq_second) == (
+                single.self_distance_sq_first, single.self_distance_sq_second)
+
+    def test_empty_stack_and_length_mismatch(self):
+        assert solve_min_couplings([], [], C_SYM) == []
+        rho = state_from_bloch([0.1, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            solve_min_couplings([rho, rho], [rho], C_SYM)
+        with pytest.raises(DomainError):
+            divergence_breakdowns([rho], [rho, rho], C_SYM)

@@ -11,6 +11,7 @@ from qwasser.verify import run_suite
         ("sym-closed-forms", 40),
         ("z-closed-forms", 40),
         ("dsym-isometries", 6),
+        ("dsym-isometries", 2),  # fewer Wigner maps than non-rigid ones
         ("dz-theorem", 5),
         ("divergence-triangle", 25),
     ],
