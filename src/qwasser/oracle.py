@@ -1,6 +1,6 @@
 """Independent brute-force minimizer used to cross-check the interior-point path.
 
-The coupling is parametrized directly by the 16 real coordinates of a
+The coupling is parametrized directly by the 16 real coordinates x of a
 Hermitian 4x4 matrix.  A quadratic-penalty warmup is followed by an augmented
 Lagrangian with multipliers on both marginal constraints and on the PSD cone
 (L-BFGS inner solves with analytic gradients, several random restarts), which
@@ -8,6 +8,10 @@ drives constraint violations to ~1e-12 with bounded penalty weights even when
 nearly pure marginals make the coupling set razor thin.  The best candidate is
 restored to exact feasibility by a short alternating-projection polish, so the
 reported value is the cost of an explicitly (near-machine) feasible coupling.
+
+The objectives work on x itself: the cost is the linear form tr[C m] = c . x
+and both marginal residuals are one real 16x16 map, A x - b, built once at
+import, so only the cone term needs a 4x4 matrix (one eigh per evaluation).
 
 Nothing here shares machinery with the barrier solver beyond elementary
 matrix helpers; agreement between the two is a meaningful consistency check.
@@ -21,15 +25,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .cost import cost_matrix
+from .errors import ContractViolation
 from .linalg import partial_trace_first, partial_trace_second, transpose_op
 from .sampling import derived_rng
 from .states import PAULI, validate_state
 
 _DIAG = np.arange(4)
 _UP = np.triu_indices(4, 1)
-_LO = (_UP[1], _UP[0])
-_PP = [[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)]
-_EYE2 = np.eye(2, dtype=complex)
+# sigma_i x sigma_j with i, j >= 1: the directions that keep both marginals
+_PP9 = np.array([np.kron(PAULI[i], PAULI[j]) for i in (1, 2, 3) for j in (1, 2, 3)])
 
 
 @dataclass(frozen=True)
@@ -41,23 +45,45 @@ class OracleResult:
     n_starts: int
 
 
-def _unpack(x: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[_DIAG, _DIAG] = x[:4]
-    off = x[4:10] + 1j * x[10:16]
-    m[_UP] = off
-    m[_LO] = off.conj()
-    return m
+def _basis() -> np.ndarray:
+    """E_k with m = sum_k x_k E_k for x = _pack(m), as rows of flattened matrices."""
+    e = np.zeros((16, 4, 4), dtype=complex)
+    e[_DIAG, _DIAG, _DIAG] = 1.0
+    k = np.arange(6)
+    e[4 + k, _UP[0], _UP[1]] = e[4 + k, _UP[1], _UP[0]] = 1.0
+    e[10 + k, _UP[0], _UP[1]] = 1j
+    e[10 + k, _UP[1], _UP[0]] = -1j
+    return e.reshape(16, 16)
+
+
+_BASIS = _basis()
+_BASIS_CONJ = _BASIS.conj()
 
 
 def _pack(m: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diag(m).real, m[_UP].real, m[_UP].imag])
 
 
+def _unpack(x: np.ndarray) -> np.ndarray:
+    return (x @ _BASIS).reshape(4, 4)
+
+
 def _pack_grad(g: np.ndarray) -> np.ndarray:
-    # d f / d(re m_ij) = 2 Re g_ij and d f / d(im m_ij) = 2 Im g_ij for
-    # Hermitian gradient matrix g with df = tr[g dm].
-    return np.concatenate([np.diag(g).real, 2.0 * g[_UP].real, 2.0 * g[_UP].imag])
+    """Gradient in x of tr[g m] for Hermitian g: the components tr[g E_k]."""
+    # E_k is Hermitian, so tr[g E_k] = sum_ij g_ij conj(E_k)_ij
+    return (_BASIS_CONJ @ g.ravel()).real
+
+
+def _marginal_vector(second, first) -> np.ndarray:
+    """A pair of 2x2 marginals as one real 16-vector: re/im pairs of their entries."""
+    return np.concatenate([second.ravel(), first.ravel()]).view(float)
+
+
+# The marginal map on the packed coordinates:
+# _A @ _pack(m) = _marginal_vector(partial_trace_second(m), partial_trace_first(m))
+_A = np.array(
+    [_marginal_vector(partial_trace_second(e), partial_trace_first(e)) for e in _BASIS.reshape(16, 4, 4)]
+).T
 
 
 def _psd_project(m):
@@ -65,72 +91,51 @@ def _psd_project(m):
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
-def _penalized(x, lam, cmat, omega, rho_t):
-    """Plain quadratic penalty, used to warm up the multiplier phase."""
-    m = _unpack(x)
-    r2 = partial_trace_second(m) - omega
-    r1 = partial_trace_first(m) - rho_t
-    w, v = np.linalg.eigh(m)
-    neg = np.minimum(w, 0.0)
-    val = float(np.einsum("ij,ji->", m, cmat).real) + lam * float(
-        (np.abs(r2) ** 2).sum() + (np.abs(r1) ** 2).sum() + (neg**2).sum()
-    )
-    grad = (
-        cmat
-        + lam * 2.0 * (np.kron(r2, _EYE2) + np.kron(_EYE2, r1) + (v * neg) @ v.conj().T)
-    )
-    return val, _pack_grad(grad)
+def _penalized(x, lam, c, b):
+    """Plain quadratic penalty, used to warm up the multiplier phase.
 
-
-def _al_objective(x, lam_m, lam_p, y2, y1, yp, cmat, omega, rho_t):
-    """Augmented Lagrangian: multipliers y2/y1 on the marginals, yp on the cone.
-
-    The cone term is (||(yp - lam_p m)_+||^2 - ||yp||^2) / (2 lam_p), whose
-    gradient is -(yp - lam_p m)_+; the multiplier update is the same positive
-    part, so violations vanish with bounded penalty weights.
+    c = _pack_grad(C) is the cost as a linear form (tr[C m] = c . x) and
+    b = _marginal_vector of the target marginals, so the residual is _A x - b.
     """
-    m = _unpack(x)
-    r2 = partial_trace_second(m) - omega
-    r1 = partial_trace_first(m) - rho_t
-    s = yp - lam_p * m
-    w, v = np.linalg.eigh(0.5 * (s + s.conj().T))
+    r = _A @ x - b
+    w, v = np.linalg.eigh(_unpack(x))
+    neg = np.minimum(w, 0.0)
+    val = c @ x + lam * (r @ r + neg @ neg)
+    grad = c + 2.0 * lam * (_A.T @ r + _pack_grad((v * neg) @ v.conj().T))
+    return val, grad
+
+
+def _al_objective(x, lam_m, lam_p, y, yp, yp_sq, c, b):
+    """Augmented Lagrangian: multipliers y on the marginals, yp on the cone.
+
+    y pairs with the residual _A x - b; yp_sq = ||yp||_F^2.  The cone term
+    is (||(yp - lam_p m)_+||^2 - ||yp||^2) / (2 lam_p), whose gradient is
+    -(yp - lam_p m)_+; the multiplier update is the same positive part, so
+    violations vanish with bounded penalty weights.
+    """
+    r = _A @ x - b
+    # yp is Hermitian only to roundoff; eigh reads the lower triangle alone
+    w, v = np.linalg.eigh(yp - lam_p * _unpack(x))
     pos = np.maximum(w, 0.0)
-    val = (
-        float(np.einsum("ij,ji->", m, cmat).real)
-        + float(np.einsum("ij,ji->", y2, r2).real)
-        + float(np.einsum("ij,ji->", y1, r1).real)
-        + lam_m * float((np.abs(r2) ** 2).sum() + (np.abs(r1) ** 2).sum())
-        + (float((pos**2).sum()) - float((np.linalg.eigvalsh(yp) ** 2).sum())) / (2.0 * lam_p)
-    )
-    s_pos = (v * pos) @ v.conj().T
-    grad = (
-        cmat
-        + np.kron(y2 + 2.0 * lam_m * r2, _EYE2)
-        + np.kron(_EYE2, y1 + 2.0 * lam_m * r1)
-        - s_pos
-    )
-    return val, _pack_grad(grad)
+    val = c @ x + y @ r + lam_m * (r @ r) + (pos @ pos - yp_sq) / (2.0 * lam_p)
+    grad = c + _A.T @ (y + 2.0 * lam_m * r) - _pack_grad((v * pos) @ v.conj().T)
+    return val, grad
+
+
+def _slice_component(m):
+    """Component of m along the _PP9 directions (tr[(s_i x s_j)^2] = 4)."""
+    return np.tensordot(np.einsum("kij,ji->k", _PP9, m).real / 4.0, _PP9, 1)
 
 
 def _affine_project(m, fixed):
     """Frobenius projection onto the slice with the prescribed marginals."""
-    out = fixed.copy()
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            # tr[(s_i x s_j)^2] = 4, so the basis coefficient is tr[m B] / 4
-            coeff = np.einsum("ij,ji->", m, _PP[i][j]).real / 4.0
-            out = out + coeff * _PP[i][j]
-    return out
+    return fixed + _slice_component(m)
 
 
 def _marginal_slice(rho_t, omega):
-    b_omega = np.array([np.einsum("ij,ji->", omega, PAULI[k]).real for k in (1, 2, 3)])
-    b_rho_t = np.array([np.einsum("ij,ji->", rho_t, PAULI[k]).real for k in (1, 2, 3)])
-    return 0.25 * (
-        _PP[0][0]
-        + sum(b_omega[i - 1] * _PP[i][0] for i in (1, 2, 3))
-        + sum(b_rho_t[j - 1] * _PP[0][j] for j in (1, 2, 3))
-    )
+    """The slice's point orthogonal to every _PP9 direction: the product minus its _PP9 component."""
+    product = np.kron(omega, rho_t)
+    return product - _slice_component(product)
 
 
 def project_to_couplings(m, rho, omega, max_rounds: int = 60, eig_floor: float = -5e-13):
@@ -151,10 +156,14 @@ def project_to_couplings(m, rho, omega, max_rounds: int = 60, eig_floor: float =
 
 def oracle_min_coupling(rho, omega, c, n_starts: int = 3, seed: int = 0) -> OracleResult:
     """Multi-start penalized descent over the 16-parameter coupling set."""
+    if n_starts < 1:
+        raise ContractViolation(f"oracle_min_coupling: n_starts must be at least 1, got {n_starts}")
     rho = validate_state(rho, "rho")
     omega = validate_state(omega, "omega")
     cmat = cost_matrix(c)
     rho_t = transpose_op(rho)
+    cvec = _pack_grad(cmat)
+    b = _marginal_vector(omega, rho_t)
 
     best_val = np.inf
     best_mat = None
@@ -170,35 +179,29 @@ def oracle_min_coupling(rho, omega, c, n_starts: int = 3, seed: int = 0) -> Orac
             x = minimize(
                 _penalized,
                 x,
-                args=(lam, cmat, omega, rho_t),
+                args=(lam, cvec, b),
                 jac=True,
                 method="L-BFGS-B",
                 options={"maxiter": 150, "ftol": 1e-18, "gtol": 1e-12},
             ).x
 
-        y2 = np.zeros((2, 2), dtype=complex)
-        y1 = np.zeros((2, 2), dtype=complex)
+        y = np.zeros(16)
         yp = np.zeros((4, 4), dtype=complex)
         lam_m = lam_p = 1e5
         for _ in range(12):
             x = minimize(
                 _al_objective,
                 x,
-                args=(lam_m, lam_p, y2, y1, yp, cmat, omega, rho_t),
+                args=(lam_m, lam_p, y, yp, float(np.vdot(yp, yp).real), cvec, b),
                 jac=True,
                 method="L-BFGS-B",
                 options={"maxiter": 400, "ftol": 1e-18, "gtol": 1e-13},
             ).x
             m = _unpack(x)
-            r2 = partial_trace_second(m) - omega
-            r1 = partial_trace_first(m) - rho_t
-            violation = max(
-                float(np.abs(r2).max()),
-                float(np.abs(r1).max()),
-                -float(np.linalg.eigvalsh(m)[0]),
-            )
-            y2 = y2 + 2.0 * lam_m * r2
-            y1 = y1 + 2.0 * lam_m * r1
+            r = _A @ x - b
+            # largest entry modulus of either marginal residual, or the most negative eigenvalue
+            violation = max(float(np.abs(r.view(complex)).max()), -float(np.linalg.eigvalsh(m)[0]))
+            y = y + 2.0 * lam_m * r
             yp = _psd_project(yp - lam_p * m)
             if violation < 2e-12:
                 break

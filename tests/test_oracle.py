@@ -68,34 +68,49 @@ class TestGradients:
             num[k] = (fp - fm) / (2 * h)
         return float(np.abs(num - g).max() / (1.0 + np.abs(g).max()))
 
-    def test_penalized_gradient(self):
-        from qwasser.oracle import _pack, _penalized
+    @staticmethod
+    def _point_and_targets(seed):
+        from qwasser.oracle import _marginal_vector, _pack, _pack_grad
 
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng(seed)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         x0 = _pack(0.5 * (m + m.conj().T))
         omega = state_from_bloch([0.2, -0.1, 0.3])
         rho_t = state_from_bloch([-0.4, 0.2, 0.1]).T.copy()
-        err = self._finite_difference_check(
-            _penalized, x0, (1e3, C_SYM.matrix, omega, rho_t)
-        )
+        return x0, _pack_grad(C_SYM.matrix), _marginal_vector(omega, rho_t)
+
+    def test_penalized_gradient(self):
+        from qwasser.oracle import _penalized
+
+        x0, c, b = self._point_and_targets(7)
+        err = self._finite_difference_check(_penalized, x0, (1e3, c, b))
         assert err < 1e-6
 
     def test_al_gradient(self):
-        from qwasser.oracle import _al_objective, _pack
+        from qwasser.oracle import _al_objective
 
-        rng = np.random.default_rng(8)
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        x0 = _pack(0.5 * (m + m.conj().T))
-        omega = state_from_bloch([0.2, -0.1, 0.3])
-        rho_t = state_from_bloch([-0.4, 0.2, 0.1]).T.copy()
-        y2 = np.diag([0.3, -0.1]).astype(complex)
-        y1 = np.diag([-0.2, 0.4]).astype(complex)
+        x0, c, b = self._point_and_targets(8)
+        y = np.random.default_rng(9).normal(size=16)
         yp = np.diag([0.5, 0.1, 0.0, 0.2]).astype(complex)
-        err = self._finite_difference_check(
-            _al_objective, x0, (1e3, 1e3, y2, y1, yp, C_SYM.matrix, omega, rho_t)
-        )
+        yp_sq = float(np.vdot(yp, yp).real)
+        err = self._finite_difference_check(_al_objective, x0, (1e3, 1e3, y, yp, yp_sq, c, b))
         assert err < 1e-6
+
+    def test_linear_maps_match_the_matrix_forms(self):
+        # cost and marginals as linear maps on the 16 packed coordinates
+        from qwasser.linalg import partial_trace_first, partial_trace_second
+        from qwasser.oracle import _A, _pack, _pack_grad, _unpack
+
+        rng = np.random.default_rng(10)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m = m + m.conj().T
+        x = _pack(m)
+        assert np.array_equal(_unpack(x), m)
+        for cmat in (C_SYM.matrix, C_Z.matrix):
+            assert _pack_grad(cmat) @ x == pytest.approx(np.trace(cmat @ m).real, abs=1e-12)
+        r = (_A @ x).view(complex)
+        assert np.abs(r[:4] - partial_trace_second(m).ravel()).max() <= 1e-14
+        assert np.abs(r[4:] - partial_trace_first(m).ravel()).max() <= 1e-14
 
 
 class TestProjection:
@@ -111,3 +126,31 @@ class TestProjection:
         assert np.abs(partial_trace_second(p) - omega).max() <= 1e-10
         assert np.abs(partial_trace_first(p) - rho.T).max() <= 1e-10
         assert np.linalg.eigvalsh(p)[0] >= -1e-10
+
+
+class TestContract:
+    def test_rejects_no_starts(self):
+        from qwasser.errors import ContractViolation
+
+        rho = state_from_bloch([0.1, 0.2, 0.3])
+        for n in (0, -1):
+            with pytest.raises(ContractViolation, match="n_starts"):
+                oracle_min_coupling(rho, rho, C_Z, n_starts=n)
+
+    def test_oracle_does_not_import_the_solver(self):
+        # the cross-check means something only while the oracle shares no code with the solver
+        import ast
+        from pathlib import Path
+
+        import qwasser.oracle
+
+        forbidden = {"transport", "isometry", "verify"}
+        tree = ast.parse(Path(qwasser.oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(part for alias in node.names for part in alias.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+        assert not imported & forbidden
