@@ -27,17 +27,8 @@ import numpy as np
 from .cost import CostOperator, build_cost, sym_cost, z_cost
 from .errors import ContractViolation, DomainError, QwasserError
 from .states import NAMED_BLOCH, named_state, state_from_bloch, validate_state
-from .transport import (
-    SolverConfig,
-    divergence_breakdown,
-    self_distance_sq,
-    solve_min_coupling,
-    sym_self_distance_sq_closed,
-    sym_self_distance_sq_published,
-    z_self_distance_sq_closed,
-    z_self_distance_sq_published,
-)
-from .verify import SUITE_NAMES, run_suite
+from .transport import SolverConfig, divergence_breakdown, solve_min_coupling
+from .verify import SUITE_NAMES, run_suite, self_distance_table
 
 SCHEMA_VERSION = 1
 
@@ -285,45 +276,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_selfdist_table(args) -> int:
-    cost_name = args.cost
-    cost = sym_cost() if cost_name == "sym" else z_cost()
-    forced = SolverConfig(fast_paths=False)
-    rows = []
-    norms = np.linspace(0.0, 1.0, args.norm_steps)
-    fractions = np.linspace(-1.0, 1.0, args.b3_steps)
-    for r in norms:
-        for f in fractions:
-            b3 = float(r * f)
-            bx = math.sqrt(max(r * r - b3 * b3, 0.0))
-            rho = state_from_bloch((bx, 0.0, b3))
-            pur = self_distance_sq(rho, cost)
-            if cost_name == "sym":
-                closed = sym_self_distance_sq_closed(float(r))
-                published = sym_self_distance_sq_published(float(r))
-            else:
-                closed = z_self_distance_sq_closed(float(r), b3)
-                published = z_self_distance_sq_published(float(r), b3)
-            sdp = solve_min_coupling(rho, rho, cost, forced).optimal_value
-            rows.append(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "bloch_norm": float(r),
-                    "b3": b3,
-                    "selfdist_sq_purification": pur,
-                    "selfdist_sq_closed_form": closed,
-                    "selfdist_sq_published_form": published,
-                    "selfdist_sq_sdp": sdp,
-                    "abs_diff_purification_sdp": abs(pur - sdp),
-                    "abs_diff_closed_form_sdp": abs(closed - sdp),
-                    "abs_diff_published_sdp": abs(published - sdp),
-                }
-            )
+    norms = np.repeat(np.linspace(0.0, 1.0, args.norm_steps), args.b3_steps)
+    b3 = norms * np.tile(np.linspace(-1.0, 1.0, args.b3_steps), args.norm_steps)
+    bx = np.sqrt(np.maximum(norms * norms - b3 * b3, 0.0))
+    blochs = np.stack((bx, np.zeros_like(bx), b3), axis=1)
+    table = self_distance_table(blochs, args.cost, norms=norms)
+    sdp = table["selfdist_sq_sdp"]
+    columns = {
+        "bloch_norm": norms,
+        "b3": b3,
+        **table,
+        "abs_diff_purification_sdp": np.abs(table["selfdist_sq_purification"] - sdp),
+        "abs_diff_closed_form_sdp": np.abs(table["selfdist_sq_closed_form"] - sdp),
+        "abs_diff_published_sdp": np.abs(table["selfdist_sq_published_form"] - sdp),
+    }
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.12g}" if isinstance(v, float) else v) for k, v in row.items()})
+        writer = csv.writer(out)
+        writer.writerow(["schema_version", *columns])
+        for i in range(len(norms)):
+            writer.writerow([SCHEMA_VERSION, *(f"{v[i]:.12g}" for v in columns.values())])
     finally:
         if args.output:
             out.close()

@@ -155,11 +155,8 @@ def rotation_to_unitary(o) -> np.ndarray:
 def bloch_action_matrix(u) -> np.ndarray:
     """3x3 matrix of the Bloch-vector action of rho -> u rho u^dag."""
     u = require_unitary(u)
-    cols = []
-    for j in (1, 2, 3):
-        rho = 0.5 * (PAULI[0] + PAULI[j])
-        cols.append(bloch_from_state(u @ rho @ dagger(u)))
-    return np.stack(cols, axis=1)
+    rhos = 0.5 * (PAULI[0] + np.array(PAULI[1:]))
+    return bloch_from_state(u @ rhos @ dagger(u)).T
 
 
 def fixed_panel_states() -> list:
@@ -276,37 +273,31 @@ def dz_condition_report(
 ):
     """Detailed version of `satisfies_dz_condition`: (holds, details dict)."""
     states = _dz_condition_samples(derived_rng(seed, 1), max(n_samples, 9))
-    rows = []
-    for rho in states:
-        b = bloch_from_state(rho)
-        b_img = bloch_from_state(apply_state_map(state_map, rho))
-        rows.append((b, b_img))
+    b = bloch_from_state(states)
+    b_img = bloch_from_state([apply_state_map(state_map, rho) for rho in states])
 
-    max_len_dev = max(abs(np.linalg.norm(bi) - np.linalg.norm(b)) for b, bi in rows)
+    max_len_dev = float(np.abs(np.linalg.norm(b_img, axis=1) - np.linalg.norm(b, axis=1)).max())
     if max_len_dev > tol:
         return False, {"reason": "bloch-length-changed", "max_length_deviation": max_len_dev}
 
-    votes = set()
-    for b, bi in rows:
-        if abs(b[2]) <= 10.0 * tol:
-            continue  # too close to the equator to carry sign information
-        plus_ok = abs(bi[2] - b[2]) <= tol
-        minus_ok = abs(bi[2] + b[2]) <= tol
-        if plus_ok and not minus_ok:
-            votes.add(+1)
-        elif minus_ok and not plus_ok:
-            votes.add(-1)
-        elif not plus_ok and not minus_ok:
-            return False, {
-                "reason": "third-coordinate-not-signed-copy",
-                "witness_bloch": tuple(b),
-                "image_bloch": tuple(bi),
-            }
+    # rows too close to the equator carry no sign information
+    signed = np.abs(b[:, 2]) > 10.0 * tol
+    plus_ok = np.abs(b_img[:, 2] - b[:, 2]) <= tol
+    minus_ok = np.abs(b_img[:, 2] + b[:, 2]) <= tol
+    neither = np.flatnonzero(signed & ~plus_ok & ~minus_ok)
+    if neither.size:
+        i = neither[0]
+        return False, {
+            "reason": "third-coordinate-not-signed-copy",
+            "witness_bloch": tuple(b[i]),
+            "image_bloch": tuple(b_img[i]),
+        }
+    votes = {sign for sign, ok in ((+1, plus_ok & ~minus_ok), (-1, minus_ok & ~plus_ok)) if (signed & ok).any()}
     if len(votes) > 1:
         return False, {"reason": "mixed-signs"}
     candidates = votes or {+1, -1}
     for sign in candidates:
-        if all(abs(bi[2] - sign * b[2]) <= tol for b, bi in rows):
+        if (np.abs(b_img[:, 2] - sign * b[:, 2]) <= tol).all():
             return True, {"sign": sign, "max_length_deviation": max_len_dev}
     return False, {"reason": "no-global-sign", "candidates": sorted(candidates)}
 

@@ -24,24 +24,16 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max_ij |m[i,j] - conj(m[j,i])|."""
-    return float(np.abs(m - m.conj().T).max())
+    """max_ij |m[i,j] - conj(m[j,i])|, over every matrix of a stack."""
+    return float(np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(initial=0.0))
 
 
-def require_square(m, dims=(2, 4), what: str = "matrix") -> np.ndarray:
+def require_square(m, dims=(2, 4), what: str = "matrix", stack: bool = False) -> np.ndarray:
+    """m as a complex (d, d) matrix with d in dims; with stack, also a (..., d, d) stack."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in dims:
-        raise ContractViolation(
-            f"{what}: expected a square matrix with dimension in {dims}, got shape {m.shape}"
-        )
-    return m
-
-
-def require_hermitian(m, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
-    m = require_square(m, (2, 4), what)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ContractViolation(f"{what}: not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2] or m.shape[-1] not in dims:
+        kind = "a stack of square matrices" if stack else "a square matrix"
+        raise ContractViolation(f"{what}: expected {kind} with dimension in {dims}, got shape {m.shape}")
     return m
 
 
@@ -70,37 +62,41 @@ def partial_trace_first(m) -> np.ndarray:
 
 
 def eig_hermitian(m, tol: float = HERMITIAN_TOL):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-    m = require_hermitian(m, tol, "eig_hermitian")
-    w, v = np.linalg.eigh(m)
-    return w, v
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix or stack."""
+    m = require_square(m, (2, 4), "eig_hermitian", stack=True)
+    defect = hermiticity_defect(m)
+    if defect > tol:
+        raise ContractViolation(f"eig_hermitian: not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    return np.linalg.eigh(m)
 
 
 def sqrt_psd(m) -> np.ndarray:
-    """Hermitian PSD square root of a 2x2 PSD matrix.
+    """Hermitian PSD square root of a 2x2 PSD matrix, or of each matrix of a stack.
 
     Eigenvalues in [-PSD_CLAMP, 0) are treated as roundoff and clamped to zero;
     anything more negative is a contract violation.
     """
-    m = require_square(m, (2,), "sqrt_psd")
+    m = require_square(m, (2,), "sqrt_psd", stack=True)
     w, v = eig_hermitian(m)
-    if w[0] < -PSD_CLAMP:
-        raise ContractViolation(f"sqrt_psd: eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.1e}")
+    if (w[..., 0] < -PSD_CLAMP).any():
+        raise ContractViolation(f"sqrt_psd: eigenvalue {w[..., 0].min():.3e} below -{PSD_CLAMP:.1e}")
     s = np.sqrt(np.maximum(w, 0.0))
-    return (v * s) @ v.conj().T
+    return (v * s[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def vec(x) -> np.ndarray:
-    """Row-major flattening of a 2x2 operator into a length-4 vector."""
-    x = require_square(x, (2,), "vec")
-    return x.reshape(-1)
+    """Row-major flattening of a 2x2 operator (or a stack) into a length-4 vector (or a stack)."""
+    x = require_square(x, (2,), "vec", stack=True)
+    return x.reshape(*x.shape[:-2], 4)
 
 
-def bra_cost_ket(x, c) -> float:
-    """vec(x)^dag @ c @ vec(x); must be real for Hermitian c."""
+def bra_cost_ket(x, c):
+    """vec(x)^dag @ c @ vec(x), or an array of them for a stack of operators;
+    must be real for Hermitian c."""
     v = vec(x)
     c = require_square(c, (4,), "bra_cost_ket: cost")
-    val = complex(np.vdot(v, c @ v))
-    if abs(val.imag) > 1e-8:
-        raise InternalConsistencyError(f"bra_cost_ket: imaginary part {val.imag:.3e}")
-    return float(val.real)
+    vals = np.einsum("...i,ij,...j->...", v.conj(), c, v)
+    imag = float(np.abs(vals.imag).max(initial=0.0))
+    if imag > 1e-8:
+        raise InternalConsistencyError(f"bra_cost_ket: imaginary part {imag:.3e}")
+    return float(vals.real) if vals.ndim == 0 else vals.real

@@ -34,6 +34,9 @@ _DIAG = np.arange(4)
 _UP = np.triu_indices(4, 1)
 # sigma_i x sigma_j with i, j >= 1: the directions that keep both marginals
 _PP9 = np.array([np.kron(PAULI[i], PAULI[j]) for i in (1, 2, 3) for j in (1, 2, 3)])
+# project_to_couplings: its most rounds, and the smallest eigenvalue that ends them
+_POLISH_ROUNDS = 60
+_POLISH_EIG_FLOOR = -5e-13
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ def _marginal_slice(rho_t, omega):
     return product - _slice_component(product)
 
 
-def project_to_couplings(m, rho, omega, max_rounds: int = 60, eig_floor: float = -5e-13):
+def project_to_couplings(m, rho, omega):
     """Restore exact feasibility: alternate slice/cone projections, end on the cone.
 
     Intended for nearly feasible inputs (violations ~1e-11), where each round
@@ -147,8 +150,8 @@ def project_to_couplings(m, rho, omega, max_rounds: int = 60, eig_floor: float =
     rho_t = transpose_op(rho)
     fixed = _marginal_slice(rho_t, omega)
     p = _affine_project(m, fixed)
-    for _ in range(max_rounds):
-        if np.linalg.eigvalsh(p)[0] >= eig_floor:
+    for _ in range(_POLISH_ROUNDS):
+        if np.linalg.eigvalsh(p)[0] >= _POLISH_EIG_FLOOR:
             break
         p = _affine_project(_psd_project(p), fixed)
     return _psd_project(p)

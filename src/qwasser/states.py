@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .linalg import HERMITIAN_TOL, hermiticity_defect, require_square
+from .linalg import HERMITIAN_TOL, require_square
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -61,19 +61,23 @@ def bloch_from_state(rho) -> np.ndarray:
 
 
 def validate_state(m, what: str = "state") -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity; return the matrix."""
-    m = require_square(m, (2,), what)
-    if not np.isfinite(m).all():
-        raise DomainError(f"{what}: non-finite entry")
-    defect = hermiticity_defect(m)
-    if defect > HERMITIAN_TOL:
-        raise DomainError(f"{what}: not Hermitian (defect {defect:.3e})")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > 1e-12:
-        raise DomainError(f"{what}: trace {tr:.15g} is not 1")
-    w = np.linalg.eigvalsh(m)
-    if w[0] < STATE_EIG_FLOOR:
-        raise DomainError(f"{what}: negative eigenvalue {w[0]:.3e}")
+    """Check Hermiticity, unit trace, and positivity; return the matrix.  On a
+    stack of states the error names the first bad state's flattened index."""
+    m = require_square(m, (2,), what, stack=True)
+    flat = m.reshape(-1, 2, 2)
+
+    def require(ok, message):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise DomainError(f"{what if m.ndim == 2 else f'{what}[{i}]'}: {message(i)}")
+
+    require(np.isfinite(flat).all(axis=(1, 2)), lambda i: "non-finite entry")
+    defect = np.abs(flat - flat.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    require(defect <= HERMITIAN_TOL, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
+    tr = flat[:, 0, 0] + flat[:, 1, 1]
+    require(np.abs(tr - 1.0) <= 1e-12, lambda i: f"trace {complex(tr[i]):.15g} is not 1")
+    low = np.linalg.eigvalsh(flat)[:, 0]
+    require(low >= STATE_EIG_FLOOR, lambda i: f"negative eigenvalue {low[i]:.3e}")
     return m
 
 

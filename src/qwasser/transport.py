@@ -21,6 +21,8 @@ Closed paths (exact, no iteration):
   coupling omega (x) rho^T;
 * if rho == omega, the rank-one coupling built from vec(sqrt(rho)) is optimal
   for any generator-built cost, which the solver cross-validates in tests.
+  Its value is `self_distance_sq`, which the identical lanes of a solve and
+  both self-distances of a divergence take on whole stacks of states.
 
 When the product coupling is too close to singular for the barrier to start,
 the product is returned with the lower bound tr[Pi C] >= lambda_min(C).
@@ -93,6 +95,11 @@ def _hessian_tensor() -> np.ndarray:
 _TEN = _hessian_tensor()
 
 STATE_EQUAL_ATOL = 1e-12
+# Barrier schedule: mu starts at (1 + |q . v0|) / 4 and shrinks by _MU_SHRINK
+# each time the iterate is centred, that is when the Newton decrement is below
+# _CENTERING_TOL.
+_MU_SHRINK = 0.03
+_CENTERING_TOL = 0.3
 # 1 - |b| of a marginal that counts as pure whatever the config: a few units of
 # double-precision roundoff, which state_from_bloch leaves on unit vectors.
 SINGLETON_TOL = 1e-15
@@ -121,9 +128,6 @@ class SolverConfig:
 
     tolerance: float = 1e-8
     max_iterations: int = 500
-    mu_initial: float = 0.0      # 0 -> scaled from the starting objective
-    mu_shrink: float = 0.03
-    centering_tol: float = 0.3   # Newton-decrement threshold while following the path
     fast_paths: bool = True      # use exact closed forms when the optimizer is known
 
     def __post_init__(self):
@@ -131,8 +135,6 @@ class SolverConfig:
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise DomainError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (0.0 < self.mu_shrink < 1.0):
-            raise DomainError(f"mu_shrink must lie in (0, 1), got {self.mu_shrink}")
 
 
 @dataclass(frozen=True)
@@ -253,10 +255,6 @@ def _newton_parts(m):
     return x[..., _FREE_INDEX], h0
 
 
-def _start_mu(q, v, cfg: SolverConfig):
-    return cfg.mu_initial if cfg.mu_initial > 0 else (1.0 + np.abs(v @ q)) / 4.0
-
-
 def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
     """Minimize q . v subject to M = m0 + sum_a v[a] F_a being PSD, for one pair.
 
@@ -275,11 +273,10 @@ def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
     if not np.isfinite(logdet):
         return math.nan, mat, 0.0, 0
 
-    mu = float(_start_mu(q, v, cfg))
+    mu = (1.0 + abs(float(v @ q))) / 4.0
     # Each barrier stage leaves an objective offset of about 4*mu, so stop a
     # comfortable factor below the requested gap.
     mu_floor = cfg.tolerance / 32.0
-    dec_target = cfg.centering_tol**2
     iters = 0
     parts = None  # Newton parts at mat, kept while only mu changes
 
@@ -293,10 +290,10 @@ def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
         # (1/mu) q.v - logdet: the mu division keeps the proximity
         # test meaningful as mu shrinks.
         dec_sq = max(float(-grad @ delta), 0.0) / mu
-        if dec_sq <= dec_target:
+        if dec_sq <= _CENTERING_TOL**2:
             if mu <= mu_floor:
                 break
-            mu = max(mu * cfg.mu_shrink, mu_floor)
+            mu = max(mu * _MU_SHRINK, mu_floor)
             continue
         f0 = float(v @ q) - mu * logdet
         slope = float(grad @ delta)
@@ -335,12 +332,11 @@ def _barrier_minimize_lanes(q, m0, v0, cfg: SolverConfig):
 
     idx = np.flatnonzero(np.isfinite(logdet))
     v, m0_flat, mat, logdet = v0[idx], m0_flat[idx], mat_out[idx], logdet[idx]
-    mu = np.broadcast_to(_start_mu(q, v, cfg), idx.shape).astype(float)
+    mu = (1.0 + np.abs(v @ q)) / 4.0
     iters = np.zeros(len(idx), dtype=int)
     g0, h0 = np.empty((len(idx), 9)), np.empty((len(idx), 9, 9))
     stale = np.ones(len(idx), dtype=bool)  # lanes whose M moved since g0, h0
     mu_floor = cfg.tolerance / 32.0
-    dec_target = cfg.centering_tol**2
 
     while idx.size:
         if stale.any():
@@ -350,10 +346,10 @@ def _barrier_minimize_lanes(q, m0, v0, cfg: SolverConfig):
         delta = -_solve_lanes(mu[:, None, None] * h0, grad)
         slope = (grad * delta).sum(axis=1)
         dec_sq = np.maximum(-slope, 0.0) / mu
-        centered = dec_sq <= dec_target
+        centered = dec_sq <= _CENTERING_TOL**2
         done = centered & (mu <= mu_floor)
         shrink = centered & ~done
-        mu[shrink] = np.maximum(mu[shrink] * cfg.mu_shrink, mu_floor)
+        mu[shrink] = np.maximum(mu[shrink] * _MU_SHRINK, mu_floor)
 
         s = np.flatnonzero(~centered)
         if s.size:
@@ -439,7 +435,7 @@ def _closed_forms(rhos, omegas, fast_paths: bool):
 def _state_stacks(rhos, omegas) -> list:
     """Validated (N, 2, 2) stacks of the first and second states of N pairs."""
     stacks = [
-        np.array([validate_state(s, what) for s in states], dtype=complex).reshape(-1, 2, 2)
+        validate_state(states if len(states) else np.empty((0, 2, 2)), what).reshape(-1, 2, 2)
         for states, what in ((rhos, "rho"), (omegas, "omega"))
     ]
     if len(stacks[0]) != len(stacks[1]):
@@ -503,9 +499,10 @@ def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> 
     iters = np.zeros(n, dtype=int)
 
     identical, pure = _closed_forms(rhos, omegas, cfg.fast_paths)
-    for i in np.flatnonzero(identical):
-        mats[i] = purification_coupling(rhos[i]).matrix
-    value[identical] = coupling_cost(mats[identical], cmat)
+    if identical.any():
+        roots = vec(sqrt_psd(rhos[identical]))
+        mats[identical] = roots[:, :, None] * roots[:, None, :].conj()
+        value[identical] = self_distance_sq(rhos[identical], cmat)
 
     lanes = np.flatnonzero(~identical & ~pure)
     for start in range(0, lanes.size, _MAX_LANES):
@@ -540,25 +537,15 @@ def solve_min_coupling(rho, omega, c, config: SolverConfig | None = None) -> Tra
     return solve_min_couplings([rho], [omega], c, config)[0]
 
 
-def self_distance_sq(rho, c) -> float:
-    """Squared self-distance via the rank-one coupling of vec(sqrt(rho))."""
+def self_distance_sq(rho, c):
+    """Squared self-distance via the rank-one coupling of vec(sqrt(rho)); a
+    stack of states gives an array."""
     rho = validate_state(rho, "rho")
-    return max(bra_cost_ket(sqrt_psd(rho), cost_matrix(c)), 0.0)
+    return np.maximum(bra_cost_ket(sqrt_psd(rho), cost_matrix(c)), 0.0)
 
 
 def wasserstein_distance(rho, omega, c, config: SolverConfig | None = None) -> float:
     return math.sqrt(solve_min_coupling(rho, omega, c, config).optimal_value)
-
-
-def _breakdown(res: TransportResult, s1: float, s2: float, cfg: SolverConfig) -> DivergenceBreakdown:
-    radicand = res.optimal_value - 0.5 * (s1 + s2)
-    if radicand < -10.0 * cfg.tolerance:
-        raise SolverAccuracyError(
-            f"divergence radicand {radicand:.3e} below -10*tolerance; "
-            f"the transport solve did not reach its accuracy target"
-        )
-    d = math.sqrt(max(radicand, 0.0))
-    return DivergenceBreakdown(res.optimal_value, s1, s2, radicand, d, res.solver_status)
 
 
 def divergence_breakdown(rho, omega, c, config: SolverConfig | None = None) -> DivergenceBreakdown:
@@ -567,23 +554,28 @@ def divergence_breakdown(rho, omega, c, config: SolverConfig | None = None) -> D
 
 
 def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -> list:
-    """`divergence_breakdown` for each pair (rhos[i], omegas[i]), with one
-    batched transport solve."""
+    """`divergence_breakdown` for each pair (rhos[i], omegas[i]), from one
+    batched transport solve and one self-distance call per side."""
     cfg = config if config is not None else SolverConfig()
     rhos, omegas = _state_stacks(rhos, omegas)
+    results = solve_min_couplings(rhos, omegas, c, cfg)
+    s1, s2 = self_distance_sq(rhos, c), self_distance_sq(omegas, c)
+    # Identical states take s1 as their distance and as s2, so that the
+    # radicand cancels to exactly zero.
     identical = _closed_forms(rhos, omegas, cfg.fast_paths)[0]
-    lanes = np.flatnonzero(~identical)
-    solved = dict(zip(lanes, solve_min_couplings(rhos[lanes], omegas[lanes], c, cfg)))
-    out = []
-    for i in range(len(rhos)):
-        if identical[i]:
-            # identical states: route the distance through the same arithmetic
-            # as the self-distance so the radicand cancels to exactly zero
-            s = self_distance_sq(rhos[i], c)
-            out.append(DivergenceBreakdown(s, s, s, 0.0, 0.0, "closed_form"))
-        else:
-            out.append(_breakdown(solved[i], self_distance_sq(rhos[i], c), self_distance_sq(omegas[i], c), cfg))
-    return out
+    dist = np.where(identical, s1, [r.optimal_value for r in results])
+    s2 = np.where(identical, s1, s2)
+    radicand = dist - 0.5 * (s1 + s2)
+    if (radicand < -10.0 * cfg.tolerance).any():
+        raise SolverAccuracyError(
+            f"divergence radicand {radicand.min():.3e} below -10*tolerance; "
+            f"the transport solve did not reach its accuracy target"
+        )
+    div = np.sqrt(np.maximum(radicand, 0.0))
+    return [
+        DivergenceBreakdown(float(d), float(a), float(b), float(r), float(x), res.solver_status)
+        for d, a, b, r, x, res in zip(dist, s1, s2, radicand, div, results)
+    ]
 
 
 def wasserstein_divergence(rho, omega, c, config: SolverConfig | None = None) -> float:

@@ -6,6 +6,9 @@ random streams are derived from (seed, counter).  A suite draws its pairs
 first and solves them together in batched calls (`solve_min_couplings`,
 `divergence_breakdowns`, `check_isometries`), whose per-pair results do not
 depend on the grouping.
+
+Both closed-form suites and the CLI's `selfdist-table` take every
+self-distance value from `self_distance_table`, with one batched solve.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .isometry import (
 from .sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere
 from .states import bloch_from_state, state_from_bloch
 from .transport import (
+    SYM_PUBLISHED_SCALE,
+    Z_PUBLISHED_SCALE,
     SolverConfig,
     coupling_cost,
     divergence_breakdowns,
@@ -107,8 +112,61 @@ def _ball_blochs(seed: int, first: int, samples: int) -> np.ndarray:
     return np.array([random_bloch_in_ball(derived_rng(seed, first + i)) for i in range(samples)]).reshape(-1, 3)
 
 
-def _states(blochs) -> list:
-    return [state_from_bloch(b) for b in blochs]
+def _states(blochs) -> np.ndarray:
+    return np.array([state_from_bloch(b) for b in blochs], dtype=complex).reshape(-1, 2, 2)
+
+
+# Per cost: closed form, published form, and the published form's share of the optimum.
+_SELF_FORMS = {
+    "sym": ("4(1-sqrt(1-|b|^2))", "2(1-sqrt(1-|b|^2))", "half", SYM_PUBLISHED_SCALE),
+    "z": ("2(1-sqrt(1-|b|^2))(1-b3^2/|b|^2)", "(1/2)(1-sqrt(1-|b|^2))(1-b3^2/|b|^2)", "a quarter of",
+          Z_PUBLISHED_SCALE),
+}
+
+
+def self_distance_table(blochs, cost: str, config: SolverConfig | None = None, norms=None) -> dict:
+    """Self-distances under the "sym" or "z" cost of the states with Bloch
+    vectors `blochs`, four ways, keyed by the `selfdist-table` column names.
+
+    The solve is forced through the barrier unless `config` is given.  The closed
+    and published forms take `norms` (default: |b| of each row); near the sphere
+    they magnify a computed norm's last-bit error, so a grid passes its own."""
+    if cost not in _SELF_FORMS:
+        raise DomainError(f"self_distance_table: unknown cost {cost!r}; choose from {sorted(_SELF_FORMS)}")
+    blochs = np.asarray(blochs, dtype=float).reshape(-1, 3)
+    norms = np.linalg.norm(blochs, axis=1) if norms is None else np.asarray(norms, dtype=float)
+    rhos = _states(blochs)
+    if cost == "sym":
+        c, args = sym_cost(), [(r,) for r in norms]
+        closed, published = sym_self_distance_sq_closed, sym_self_distance_sq_published
+    else:
+        c, args = z_cost(), list(zip(norms, blochs[:, 2]))
+        closed, published = z_self_distance_sq_closed, z_self_distance_sq_published
+    forced = SolverConfig(fast_paths=False) if config is None else config
+    return {
+        "selfdist_sq_purification": self_distance_sq(rhos, c),
+        "selfdist_sq_closed_form": np.array([closed(*a) for a in args]),
+        "selfdist_sq_published_form": np.array([published(*a) for a in args]),
+        "selfdist_sq_sdp": _values(solve_min_couplings(rhos, rhos, c, forced)),
+    }
+
+
+def _self_distance_checks(cost: str, samples: int, seed: int, tolerance: float, config) -> list:
+    """A closed-form suite's two self-distance checks on ball samples: solve,
+    coupling and closed form agree, and the published form is off by its scale."""
+    closed_form, published_form, share, scale = _SELF_FORMS[cost]
+    table = self_distance_table(_ball_blochs(seed, 20_000, samples), cost, config)
+    sdp, pur = table["selfdist_sq_sdp"], table["selfdist_sq_purification"]
+    closed = table["selfdist_sq_closed_form"]
+    triple_devs = np.maximum.reduce([np.abs(sdp - pur), np.abs(sdp - closed), np.abs(pur - closed)])
+    published_devs = np.abs(pur - table["selfdist_sq_published_form"] / scale)
+    return [
+        _check("self-distance-sdp-purification-closed-form", triple_devs, tolerance,
+               notes=f"solver, vec(sqrt(rho)) coupling, and {closed_form} agree"),
+        _check("published-self-distance-formula-flagged", published_devs, tolerance,
+               notes=f"documented discrepancy: the published closed form {published_form} is exactly "
+                     f"{share} the transport optimum; the solver value is authoritative"),
+    ]
 
 
 def suite_sym_closed_forms(
@@ -117,7 +175,6 @@ def suite_sym_closed_forms(
     """Pure-pair cost law, divergence-Euclidean law, and self-distance forms
     for the all-Pauli cost."""
     c = sym_cost()
-    forced = SolverConfig(fast_paths=False) if config is None else config
 
     b1, b2 = _pure_pairs(seed, samples)
     r1, r2 = _states(b1), _states(b2)
@@ -131,17 +188,6 @@ def suite_sym_closed_forms(
         rho = state_from_bloch(random_bloch_on_sphere(derived_rng(seed, 10_000 + i)))
         self_pure_devs.append(abs(coupling_cost(product_coupling(rho, rho), c) - 4.0))
 
-    blochs = _ball_blochs(seed, 20_000, samples)
-    rhos = _states(blochs)
-    sdp = _values(solve_min_couplings(rhos, rhos, c, forced))
-    triple_devs, published_devs = [], []
-    for b, rho, s in zip(blochs, rhos, sdp):
-        pur = self_distance_sq(rho, c)
-        closed = sym_self_distance_sq_closed(float(np.linalg.norm(b)))
-        published = sym_self_distance_sq_published(float(np.linalg.norm(b)))
-        triple_devs.append(max(abs(s - pur), abs(s - closed), abs(pur - closed)))
-        published_devs.append(abs(pur - 2.0 * published))
-
     return SuiteResult(
         suite="sym-closed-forms",
         samples=samples,
@@ -151,22 +197,7 @@ def suite_sym_closed_forms(
             _check("pure-pair-cost-6-minus-2-dot", cost_devs, tolerance),
             _check("pure-pair-divergence-euclidean", div_devs, tolerance),
             _check("pure-self-product-cost-4", self_pure_devs, tolerance),
-            _check(
-                "self-distance-sdp-purification-closed-form",
-                triple_devs,
-                tolerance,
-                notes="solver, vec(sqrt(rho)) coupling, and 4(1-sqrt(1-|b|^2)) agree",
-            ),
-            _check(
-                "published-self-distance-formula-flagged",
-                published_devs,
-                tolerance,
-                notes=(
-                    "documented discrepancy: the published closed form "
-                    "2(1-sqrt(1-|b|^2)) is exactly half the transport optimum; "
-                    "the solver value is authoritative"
-                ),
-            ),
+            *_self_distance_checks("sym", samples, seed, tolerance, config),
         ],
     )
 
@@ -188,17 +219,6 @@ def suite_z_closed_forms(
     rho_d, omega_d = ([state_from_bloch((0.0, 0.0, float(t))) for t in col] for col in tu.T)
     diag_devs = np.abs(_values(solve_min_couplings(rho_d, omega_d, c, forced)) - 2.0 * np.abs(tu[:, 0] - tu[:, 1]))
 
-    blochs = _ball_blochs(seed, 20_000, samples)
-    rhos = _states(blochs)
-    sdp = _values(solve_min_couplings(rhos, rhos, c, forced))
-    triple_devs, published_devs = [], []
-    for b, rho, s in zip(blochs, rhos, sdp):
-        pur = self_distance_sq(rho, c)
-        closed = z_self_distance_sq_closed(float(np.linalg.norm(b)), float(b[2]))
-        published = z_self_distance_sq_published(float(np.linalg.norm(b)), float(b[2]))
-        triple_devs.append(max(abs(s - pur), abs(s - closed), abs(pur - closed)))
-        published_devs.append(abs(pur - 4.0 * published))
-
     poles = solve_min_coupling(
         state_from_bloch((0.0, 0.0, 1.0)), state_from_bloch((0.0, 0.0, -1.0)), c
     ).optimal_value
@@ -212,25 +232,7 @@ def suite_z_closed_forms(
             _check("pure-pair-cost-2-minus-2-zw", pair_devs, tolerance),
             _check("diagonal-pair-classical-cost", diag_devs, tolerance),
             _check("pole-pair-squared-diameter-4", [abs(poles - 4.0)], tolerance),
-            _check(
-                "self-distance-sdp-purification-closed-form",
-                triple_devs,
-                tolerance,
-                notes=(
-                    "solver, vec(sqrt(rho)) coupling, and "
-                    "2(1-sqrt(1-|b|^2))(1-b3^2/|b|^2) agree"
-                ),
-            ),
-            _check(
-                "published-self-distance-formula-flagged",
-                published_devs,
-                tolerance,
-                notes=(
-                    "documented discrepancy: the published closed form "
-                    "(1/2)(1-sqrt(1-|b|^2))(1-b3^2/|b|^2) is exactly a quarter "
-                    "of the transport optimum; the solver value is authoritative"
-                ),
-            ),
+            *_self_distance_checks("z", samples, seed, tolerance, config),
         ],
     )
 

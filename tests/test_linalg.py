@@ -174,3 +174,50 @@ class TestVecAndBraKet:
 
     def test_bra_cost_ket_sz(self):
         assert bra_cost_ket(PAULI[3], C_Z) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestStacks:
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(4)
+        psd = np.array([random_psd2(rng) for _ in range(50)])
+        herm = np.array([random_hermitian(rng, 2) for _ in range(50)])
+        roots = sqrt_psd(psd.reshape(5, 10, 2, 2)).reshape(50, 2, 2)
+        for i in range(50):
+            np.testing.assert_allclose(roots[i], sqrt_psd(psd[i]), rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(vec(herm)[i], vec(herm[i]))
+        for c in (C_SYM, C_Z):
+            vals = bra_cost_ket(herm, c)
+            assert vals.shape == (50,)
+            np.testing.assert_allclose(vals, [bra_cost_ket(x, c) for x in herm], rtol=0, atol=1e-14)
+
+    def test_stack_with_one_negative_matrix_is_rejected(self):
+        stack = np.array([I2 / 2, np.diag([1.0, -1e-6]), I2 / 2])
+        with pytest.raises(ContractViolation):
+            sqrt_psd(stack)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sqrt_psd(np.zeros((3, 4, 4))),
+            lambda: sqrt_psd(np.zeros((3, 2, 3))),
+            lambda: vec(np.zeros((3, 3, 3))),
+            lambda: bra_cost_ket(np.zeros((3, 2, 2)), np.zeros((3, 4, 4))),
+        ],
+    )
+    def test_wrong_trailing_shape(self, call):
+        with pytest.raises(ContractViolation):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: tensor(np.stack([I2, I2]), I2),
+            lambda: tensor(I2, np.stack([I2, I2])),
+            lambda: transpose_op(np.stack([I2, I2])),
+            lambda: partial_trace_second(np.stack([I4, I4])),
+            lambda: partial_trace_first(np.stack([I4, I4])),
+        ],
+    )
+    def test_single_matrix_helpers_reject_stacks(self, call):
+        with pytest.raises(ContractViolation):
+            call()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qwasser.errors import DomainError
+from qwasser.errors import ContractViolation, DomainError
 from qwasser.sampling import random_bloch_in_ball
 from qwasser.states import (
     PAULI,
@@ -104,6 +104,36 @@ class TestValidateState:
         m[0, 1] = m[1, 0] = bad
         with pytest.raises(DomainError):
             validate_state(m)
+
+
+class TestValidateStack:
+    BAD = {
+        "non-finite": np.array([[np.nan, 0.0], [0.0, 0.5]]),
+        "non-Hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+        "trace": np.eye(2),
+        "negative": np.diag([1.2, -0.2]),
+    }
+
+    def test_stack_is_accepted_and_returned(self):
+        rng = np.random.default_rng(2)
+        stack = np.array([state_from_bloch(random_bloch_in_ball(rng)) for _ in range(12)])
+        np.testing.assert_array_equal(validate_state(stack.reshape(3, 4, 2, 2)), stack.reshape(3, 4, 2, 2))
+        assert validate_state(np.empty((0, 2, 2))).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_one_bad_state_fails_the_stack_as_it_fails_alone(self, kind):
+        bad = self.BAD[kind]
+        with pytest.raises(DomainError) as alone:
+            validate_state(bad, "rho")
+        good = state_from_bloch([0.1, 0.2, -0.3])
+        with pytest.raises(DomainError) as in_stack:
+            validate_state(np.array([good, good, bad, good]), "rho")
+        assert str(in_stack.value) == str(alone.value).replace("rho:", "rho[2]:", 1)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 2), (2,), (5, 4, 4)])
+    def test_wrong_trailing_shape(self, shape):
+        with pytest.raises(ContractViolation):
+            validate_state(np.zeros(shape))
 
 
 class TestNamedStates:

@@ -231,8 +231,6 @@ class TestSolver:
             SolverConfig(tolerance=0.0)
         with pytest.raises(DomainError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(DomainError):
-            SolverConfig(mu_shrink=1.5)
 
 
 class TestSelfDistance:
@@ -282,6 +280,15 @@ class TestSelfDistance:
             bra_cost_ket(sqrt_psd(rho), C_Z.matrix), abs=1e-14
         )
 
+    @pytest.mark.parametrize("c", [C_SYM, C_Z])
+    def test_stack_matches_per_state_calls(self, c):
+        rng = np.random.default_rng(15)
+        rhos = np.array([state_from_bloch(random_bloch_in_ball(rng)) for _ in range(40)]
+                        + [state_from_bloch(random_bloch_on_sphere(rng)) for _ in range(4)])
+        vals = self_distance_sq(rhos, c)
+        assert vals.shape == (44,)
+        np.testing.assert_allclose(vals, [self_distance_sq(r, c) for r in rhos], rtol=0, atol=1e-14)
+
 
 class TestDivergence:
     def test_pure_pairs_euclidean(self):
@@ -294,6 +301,21 @@ class TestDivergence:
     def test_identical_states_exact_zero(self):
         rho = state_from_bloch([0.3, -0.2, 0.1])
         assert wasserstein_divergence(rho, rho, C_SYM) == 0.0
+
+    @pytest.mark.parametrize("c", [C_SYM, C_Z])
+    def test_near_identical_states_exact_zero(self, c):
+        # omega is within STATE_EQUAL_ATOL of rho but not equal to it, so its
+        # own self-distance differs from rho's in the last bits
+        rho = state_from_bloch([0.3, -0.2, 0.1])
+        omega = rho + 1e-13 * np.array([[0.3, 1.0 - 2.0j], [1.0 + 2.0j, -0.3]])
+        single = divergence_breakdown(rho, omega, c)
+        other = state_from_bloch([-0.4, 0.1, 0.5])
+        stacked = divergence_breakdowns([other, rho, other], [rho, omega, omega], c)[1]
+        for br in (single, stacked):
+            assert br.radicand == 0.0
+            assert br.divergence == 0.0
+            assert br.distance_sq == br.self_distance_sq_first == br.self_distance_sq_second
+            assert br.solver_status == "closed_form"
 
     def test_antipodal_maximum(self):
         d = wasserstein_divergence(state_from_bloch([0, 0, 1]), state_from_bloch([0, 0, -1]), C_SYM)
