@@ -9,13 +9,18 @@ A candidate map is one of four kinds:
 * ``z_phase_field``     -- rho -> u_z(t(rho)) rho u_z(t(rho))^dag with a
   state-dependent phase t and u_z(t) = diag(e^{it}, e^{-it}).
 
+`apply_state_map` (and calling a `StateMap`) maps one state or a
+(..., 2, 2) stack; payloads still receive one Bloch vector or one state.
+
 `check_isometry` measures how well a map preserves a chosen transport metric
 on a stratified sample of state pairs (`check_isometries` does so for many
 maps with one batched solve); `satisfies_dz_condition` tests the
 Bloch-level characterization relevant to the single-sigma_z distance (length
 of the Bloch vector preserved, third coordinate globally fixed or globally
 negated); `theorem_crosscheck_dz` asserts that the two verdicts agree across
-sampled map families.
+sampled map families.  The samplers draw Bloch vectors in a fixed order and
+build each sample as one stack of states, which the harness maps and solves
+as one.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .cost import require_unitary, sym_cost, z_cost
 from .errors import DomainError
 from .linalg import dagger
-from .sampling import derived_rng, random_pure_state, random_state, random_unitary
+from .sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
 from .states import PAULI, bloch_from_state, state_from_bloch, validate_state
 from .transport import SolverConfig, divergence_breakdowns, solve_min_couplings
 
@@ -81,12 +86,21 @@ def z_phase_field_map(t_fn: Callable, label: str = "") -> StateMap:
     return StateMap("z_phase_field", t_fn, label or "z-phase-field")
 
 
-def z_phase_unitary(t: float) -> np.ndarray:
-    """diag(e^{it}, e^{-it}) = exp(i t sigma_z)."""
-    return np.array([[np.exp(1j * t), 0.0], [0.0, np.exp(-1j * t)]], dtype=complex)
+def z_phase_unitary(t) -> np.ndarray:
+    """diag(e^{it}, e^{-it}) = exp(i t sigma_z); an array of t gives a stack."""
+    t = np.asarray(t, dtype=float)
+    u = np.zeros((*t.shape, 2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 1, 1] = np.exp(1j * t), np.exp(-1j * t)
+    return u
 
 
 def apply_state_map(state_map: StateMap, rho) -> np.ndarray:
+    """The image of rho, or of each state of a (..., 2, 2) stack.
+
+    Conjugations act on the whole stack at once.  A `bloch_map` payload is
+    called on one Bloch vector and a `z_phase_field` payload on one state at
+    a time, and the images are built in one `state_from_bloch` call.
+    """
     rho = validate_state(rho, "rho")
     kind = state_map.kind
     if kind == "unitary_conj":
@@ -95,11 +109,12 @@ def apply_state_map(state_map: StateMap, rho) -> np.ndarray:
     if kind == "antiunitary_conj":
         u = state_map.payload
         return u @ rho.conj() @ dagger(u)
+    lead, flat = rho.shape[:-2], rho.reshape(-1, 2, 2)
     if kind == "bloch_map":
-        image = np.asarray(state_map.payload(bloch_from_state(rho)), dtype=float)
-        return state_from_bloch(image)
+        images = [state_map.payload(b) for b in bloch_from_state(flat)]
+        return state_from_bloch(np.reshape(images, (*lead, -1)) if images else np.empty((*lead, 3)))
     if kind == "z_phase_field":
-        u = z_phase_unitary(float(state_map.payload(rho)))
+        u = z_phase_unitary([float(state_map.payload(r)) for r in flat]).reshape(rho.shape)
         return u @ rho @ dagger(u)
     raise DomainError(f"unknown state-map kind {kind!r}")
 
@@ -159,9 +174,10 @@ def bloch_action_matrix(u) -> np.ndarray:
     return bloch_from_state(u @ rhos @ dagger(u)).T
 
 
-def fixed_panel_states() -> list:
-    """Distinguished states every harness visits: poles, equatorial pures, center."""
-    blochs = [
+def fixed_panel_states() -> np.ndarray:
+    """Distinguished states every harness visits, as a (7, 2, 2) stack: poles,
+    equatorial pures, center."""
+    return state_from_bloch([
         (0.0, 0.0, 1.0),
         (0.0, 0.0, -1.0),
         (1.0, 0.0, 0.0),
@@ -169,34 +185,31 @@ def fixed_panel_states() -> list:
         (0.0, 1.0, 0.0),
         (0.0, -1.0, 0.0),
         (0.0, 0.0, 0.0),
-    ]
-    return [state_from_bloch(b) for b in blochs]
+    ])
 
 
-def sample_state_pairs(rng: np.random.Generator, n: int) -> list:
-    """Stratified state pairs: the pole pair, the center, then cycles of
-    pure/pure, pure/mixed, mixed/mixed, and mixed self-pairs."""
-    pairs = [
-        (state_from_bloch((0.0, 0.0, 1.0)), state_from_bloch((0.0, 0.0, -1.0))),
-        (state_from_bloch((0.0, 0.0, 0.0)), state_from_bloch((0.0, 0.0, 1.0))),
-    ]
+def sample_state_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Stratified state pairs as an (n, 2, 2, 2) stack, pairs[i] = (rho, omega):
+    the pole pair, the center, then cycles of pure/pure, pure/mixed,
+    mixed/mixed, and mixed self-pairs."""
+    blochs = [((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))]
     k = 0
-    while len(pairs) < n:
+    while len(blochs) < n:
         stratum = k % 4
         if stratum == 0:
-            pairs.append((random_pure_state(rng), random_pure_state(rng)))
+            blochs.append((random_bloch_on_sphere(rng), random_bloch_on_sphere(rng)))
         elif stratum == 1:
-            pairs.append((random_pure_state(rng), random_state(rng)))
+            blochs.append((random_bloch_on_sphere(rng), random_bloch_in_ball(rng)))
         elif stratum == 2:
-            pairs.append((random_state(rng), random_state(rng)))
+            blochs.append((random_bloch_in_ball(rng), random_bloch_in_ball(rng)))
         else:
-            rho = random_state(rng)
-            pairs.append((rho, rho.copy()))
+            b = random_bloch_in_ball(rng)
+            blochs.append((b, b))
         k += 1
-    return pairs[:n]
+    return state_from_bloch(np.array(blochs[:n], dtype=float).reshape(-1, 2, 3))
 
 
-def _metric_values(metric: str, rhos: list, omegas: list, config: SolverConfig | None) -> np.ndarray:
+def _metric_values(metric: str, rhos, omegas, config: SolverConfig | None) -> np.ndarray:
     """The metric on each pair (rhos[i], omegas[i]), from one batched solve."""
     if metric == "d_sym":
         return np.array([b.divergence for b in divergence_breakdowns(rhos, omegas, sym_cost(), config)])
@@ -218,16 +231,13 @@ def check_isometries(
         raise DomainError("n_samples must be >= 1")
     if metric not in METRICS:
         raise DomainError(f"unknown metric {metric!r}; choose from {METRICS}")
-    rhos, omegas = [], []
-    samples = []
+    samples, stacks = [], []
     for state_map, seed in zip(state_maps, seeds, strict=True):
         pairs = sample_state_pairs(derived_rng(seed, 0), n_samples)
-        images = [(apply_state_map(state_map, r), apply_state_map(state_map, o)) for r, o in pairs]
-        for rho, omega in pairs + images:
-            rhos.append(rho)
-            omegas.append(omega)
         samples.append(pairs)
-    values = _metric_values(metric, rhos, omegas, config).reshape(len(state_maps), 2, -1)
+        stacks += [pairs, apply_state_map(state_map, pairs)]
+    both = np.concatenate(stacks)
+    values = _metric_values(metric, both[:, 0], both[:, 1], config).reshape(len(state_maps), 2, -1)
     reports = []
     for state_map, pairs, (before, after) in zip(state_maps, samples, values):
         dev = np.abs(after - before)
@@ -258,14 +268,13 @@ def check_isometry(
     return check_isometries([state_map], [seed], metric, n_samples, tol, config)[0]
 
 
-def _dz_condition_samples(rng: np.random.Generator, n: int) -> list:
-    states = fixed_panel_states()
-    states.append(state_from_bloch((0.0, 0.0, 0.6)))
-    states.append(state_from_bloch((0.3, -0.4, -0.5)))
-    while len(states) < n:
-        states.append(random_state(rng))
-        states.append(random_pure_state(rng))
-    return states[:n]
+def _dz_condition_samples(rng: np.random.Generator, n: int) -> np.ndarray:
+    panel = fixed_panel_states()
+    blochs = [(0.0, 0.0, 0.6), (0.3, -0.4, -0.5)]
+    while len(panel) + len(blochs) < n:
+        blochs.append(random_bloch_in_ball(rng))
+        blochs.append(random_bloch_on_sphere(rng))
+    return np.concatenate((panel, state_from_bloch(blochs)))[:n]
 
 
 def dz_condition_report(
@@ -274,7 +283,7 @@ def dz_condition_report(
     """Detailed version of `satisfies_dz_condition`: (holds, details dict)."""
     states = _dz_condition_samples(derived_rng(seed, 1), max(n_samples, 9))
     b = bloch_from_state(states)
-    b_img = bloch_from_state([apply_state_map(state_map, rho) for rho in states])
+    b_img = bloch_from_state(apply_state_map(state_map, states))
 
     max_len_dev = float(np.abs(np.linalg.norm(b_img, axis=1) - np.linalg.norm(b, axis=1)).max())
     if max_len_dev > tol:

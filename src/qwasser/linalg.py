@@ -19,8 +19,8 @@ PSD_CLAMP = 1e-10
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Seeded random generators for states, unitaries, and rotations.
+"""Seeded random generators for Bloch vectors, unitaries, and rotations.
 
 Every stream is derived from an integer seed plus a counter index so that
 sample k is the same no matter how many workers evaluate the batch.
@@ -7,8 +7,6 @@ sample k is the same no matter how many workers evaluate the batch.
 from __future__ import annotations
 
 import numpy as np
-
-from .states import state_from_bloch
 
 
 def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
@@ -28,14 +26,6 @@ def random_bloch_on_sphere(rng: np.random.Generator) -> np.ndarray:
 def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
     """Uniform over the solid ball (radius via the cube-root transform)."""
     return random_bloch_on_sphere(rng) * rng.uniform() ** (1.0 / 3.0)
-
-
-def random_state(rng: np.random.Generator) -> np.ndarray:
-    return state_from_bloch(random_bloch_in_ball(rng))
-
-
-def random_pure_state(rng: np.random.Generator) -> np.ndarray:
-    return state_from_bloch(random_bloch_on_sphere(rng))
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:

@@ -37,19 +37,33 @@ def pauli(j: int) -> np.ndarray:
     return PAULI[j].copy()
 
 
+def _require(ok, what: str, stacked: bool, message) -> None:
+    """Raise DomainError with message(i) for the first i where ok is False,
+    naming i (the flattened index) when the input was a stack."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise DomainError(f"{f'{what}[{i}]' if stacked else what}: {message(i)}")
+
+
 def state_from_bloch(b) -> np.ndarray:
-    """Density matrix (I + b . sigma) / 2 for a point b of the closed unit ball."""
+    """Density matrix (I + b . sigma) / 2 for a point b of the closed unit ball;
+    a (..., 3) stack of points gives a (..., 2, 2) stack of states.  On a stack
+    the error names the first bad point's flattened index."""
     b = np.asarray(b, dtype=float)
-    if b.shape != (3,):
+    if b.ndim == 0 or b.shape[-1] != 3:
         raise DomainError(f"state_from_bloch: expected 3 real coordinates, got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise DomainError(f"state_from_bloch: non-finite Bloch coordinate in {b.tolist()}")
-    norm = float(np.linalg.norm(b))
-    if norm > 1.0 + BLOCH_CLAMP:
-        raise DomainError(f"state_from_bloch: Bloch norm {norm:.12g} outside the unit ball")
-    if norm > 1.0:
-        b = b / norm
-    return 0.5 * (PAULI[0] + b[0] * PAULI[1] + b[1] * PAULI[2] + b[2] * PAULI[3])
+    flat = b.reshape(-1, 3)
+    finite = np.isfinite(flat).all(axis=1)
+    # row-by-row dot products: the same rounding as np.linalg.norm of one point
+    with np.errstate(over="ignore"):  # a huge row is rejected below
+        norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+    _require(finite & (norm <= 1.0 + BLOCH_CLAMP), "state_from_bloch", b.ndim > 1,
+             lambda i: f"Bloch norm {norm[i]:.12g} outside the unit ball" if finite[i]
+             else f"non-finite Bloch coordinate in {flat[i].tolist()}")
+    flat = flat / np.maximum(norm, 1.0)[:, None]  # radial clamp; x / 1.0 is x exactly
+    x, y, z = (flat[:, k, None, None] for k in range(3))
+    rho = 0.5 * (PAULI[0] + x * PAULI[1] + y * PAULI[2] + z * PAULI[3])
+    return rho.reshape(*b.shape[:-1], 2, 2)
 
 
 def bloch_from_state(rho) -> np.ndarray:
@@ -65,19 +79,15 @@ def validate_state(m, what: str = "state") -> np.ndarray:
     stack of states the error names the first bad state's flattened index."""
     m = require_square(m, (2,), what, stack=True)
     flat = m.reshape(-1, 2, 2)
+    stacked = m.ndim > 2
 
-    def require(ok, message):
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise DomainError(f"{what if m.ndim == 2 else f'{what}[{i}]'}: {message(i)}")
-
-    require(np.isfinite(flat).all(axis=(1, 2)), lambda i: "non-finite entry")
+    _require(np.isfinite(flat).all(axis=(1, 2)), what, stacked, lambda i: "non-finite entry")
     defect = np.abs(flat - flat.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    require(defect <= HERMITIAN_TOL, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
+    _require(defect <= HERMITIAN_TOL, what, stacked, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
     tr = flat[:, 0, 0] + flat[:, 1, 1]
-    require(np.abs(tr - 1.0) <= 1e-12, lambda i: f"trace {complex(tr[i]):.15g} is not 1")
+    _require(np.abs(tr - 1.0) <= 1e-12, what, stacked, lambda i: f"trace {complex(tr[i]):.15g} is not 1")
     low = np.linalg.eigvalsh(flat)[:, 0]
-    require(low >= STATE_EIG_FLOOR, lambda i: f"negative eigenvalue {low[i]:.3e}")
+    _require(low >= STATE_EIG_FLOOR, what, stacked, lambda i: f"negative eigenvalue {low[i]:.3e}")
     return m
 
 

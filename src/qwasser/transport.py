@@ -25,7 +25,10 @@ Closed paths (exact, no iteration):
   both self-distances of a divergence take on whole stacks of states.
 
 When the product coupling is too close to singular for the barrier to start,
-the product is returned with the lower bound tr[Pi C] >= lambda_min(C).
+the product is returned with the lower bound tr[Pi C] >= lambda_min(C).  An
+iterate that becomes singular to working precision mid-path ends its pair's
+path there, and the certificate bounds that last iterate like any other; no
+certified bound is taken below lambda_min(C).
 """
 
 from __future__ import annotations
@@ -214,31 +217,37 @@ def _affine_parts(rhos, omegas):
     return fixed, bvec, x0
 
 
-def _logdet_lanes(m):
-    """log det of each matrix of a stack, NaN where Cholesky fails.
+def _lanewise(fn, lone, *stacks):
+    """fn(*stacks) on stacks of lanes, with lone(*lane) for each lane on which
+    fn raises LinAlgError.
 
     numpy raises for the whole stack when one lane fails, so a failing stack
     is split until the failing lanes are alone.
     """
     try:
-        ell = np.linalg.cholesky(m)
+        return fn(*stacks)
     except np.linalg.LinAlgError:
-        if len(m) == 1:
-            return np.array([np.nan])
-        h = len(m) // 2
-        return np.concatenate((_logdet_lanes(m[:h]), _logdet_lanes(m[h:])))
+        if len(stacks[0]) == 1:
+            return lone(*stacks)
+        h = len(stacks[0]) // 2
+        return np.concatenate([_lanewise(fn, lone, *(s[part] for s in stacks))
+                               for part in (slice(None, h), slice(h, None))])
+
+
+def _nan_like(m):
+    return np.full_like(m, np.nan)
+
+
+def _logdet_lanes(m):
+    """log det of each matrix of a stack, NaN where Cholesky fails."""
+    ell = _lanewise(np.linalg.cholesky, _nan_like, m)
     return 2.0 * np.log(np.diagonal(ell, axis1=1, axis2=2).real).sum(axis=1)
 
 
 def _solve_lanes(a, b):
     """x[i] with a[i] x[i] = b[i]; least squares on the lanes where a[i] is singular."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.linalg.lstsq(a[0], b[0], rcond=None)[0][None]
-        h = len(a) // 2
-        return np.concatenate((_solve_lanes(a[:h], b[:h]), _solve_lanes(a[h:], b[h:])))
+    return _lanewise(lambda a, b: np.linalg.solve(a, b[..., None])[..., 0],
+                     lambda a, b: np.linalg.lstsq(a[0], b[0], rcond=None)[0][None], a, b)
 
 
 def _newton_parts(m):
@@ -247,10 +256,10 @@ def _newton_parts(m):
     Both are polynomials in the 16 real Pauli coefficients x of M^-1: g0 picks
     the free coefficients, and the upper triangle of h0 is the 136 products
     x[k] x[l], k <= l, times _TEN.  The barrier's gradient is q - mu g0 and
-    its Hessian mu h0.
+    its Hessian mu h0.  Both are NaN where M is singular to working precision.
     """
     lead = m.shape[:-2]
-    x = (np.linalg.inv(m).reshape(*lead, 16) @ _COEF).real
+    x = (_lanewise(np.linalg.inv, _nan_like, m.reshape(-1, 4, 4)).reshape(*lead, 16) @ _COEF).real
     h0 = ((x[..., _K] * x[..., _L]) @ _TEN)[..., _H_UNFOLD].reshape(*lead, 9, 9)
     return x[..., _FREE_INDEX], h0
 
@@ -284,6 +293,8 @@ def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
         if parts is None:
             parts = _newton_parts(mat)
         g0, h0 = parts
+        if np.isnan(g0[0]):
+            break  # M singular to working precision: end at the last accepted iterate
         grad = q - mu * g0
         delta = -_solve_lanes((mu * h0)[None], grad[None])[0]
         # Newton decrement of the self-concordant centering problem
@@ -342,16 +353,21 @@ def _barrier_minimize_lanes(q, m0, v0, cfg: SolverConfig):
         if stale.any():
             g0[stale], h0[stale] = _newton_parts(mat[stale])
             stale[:] = False
+        # A lane whose M is singular to working precision takes no step and
+        # ends at its last accepted iterate; neutral parts keep its
+        # arithmetic finite until it leaves.
+        singular = np.isnan(g0[:, 0])
+        g0[singular], h0[singular] = 0.0, np.eye(9)
         grad = q - mu[:, None] * g0
         delta = -_solve_lanes(mu[:, None, None] * h0, grad)
         slope = (grad * delta).sum(axis=1)
         dec_sq = np.maximum(-slope, 0.0) / mu
         centered = dec_sq <= _CENTERING_TOL**2
-        done = centered & (mu <= mu_floor)
+        done = centered & (mu <= mu_floor) | singular
         shrink = centered & ~done
         mu[shrink] = np.maximum(mu[shrink] * _MU_SHRINK, mu_floor)
 
-        s = np.flatnonzero(~centered)
+        s = np.flatnonzero(~centered & ~singular)
         if s.size:
             f0 = v[s] @ q - mu[s] * logdet[s]
             step = np.where(dec_sq[s] <= 0.0625, 1.0, 1.0 / (1.0 + np.sqrt(dec_sq[s])))
@@ -463,12 +479,14 @@ def _solve_barrier(rhos, omegas, cmat, prod_val, cfg: SolverConfig):
         solved = _barrier_minimize_lanes(q, fixed, x0, cfg)
     primal, pi, mu, steps = solved
     primal = primal + np.einsum("nij,ji->n", fixed, cmat).real
-    # No strict interior (Cholesky fails at the product coupling): keep the
-    # product, bounded below by tr[Pi C] >= lambda_min(C).
+    # tr[Pi C] >= lambda_min(C) bounds every coupling.  It is the only bound
+    # without a strict interior (Cholesky fails at the product coupling: keep
+    # the product), and it caps the gap where a last iterate is too near
+    # singular for its certificate.
     lower = np.full(len(rhos), float(np.linalg.eigvalsh(cmat)[0]))
     interior = np.isfinite(primal)
     if interior.any():
-        lower[interior] = _lower_bounds(q, cmat, bvec[interior], pi[interior], mu[interior])
+        lower[interior] = np.maximum(lower[interior], _lower_bounds(q, cmat, bvec[interior], pi[interior], mu[interior]))
     # The product coupling is itself feasible; never return anything worse.
     wins = interior & (primal <= prod_val)
     best = np.where(wins, primal, prod_val)
@@ -477,18 +495,9 @@ def _solve_barrier(rhos, omegas, cmat, prod_val, cfg: SolverConfig):
     return best, wins, pi, np.maximum(best - lower, 0.0), steps
 
 
-def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> list:
-    """`solve_min_coupling` for each pair (rhos[i], omegas[i]): one result per pair.
-
-    Closed forms are decided per pair.  The pairs left for the interior-point
-    solve run together in batched barriers of up to `_MAX_LANES` pairs, each
-    pair with its own path and certificate; a single pair runs the
-    single-pair loop, which is faster for one pair.  Results do not depend on
-    how pairs are grouped.
-    """
-    cfg = config if config is not None else SolverConfig()
-    rhos, omegas = _state_stacks(rhos, omegas)
-    cmat = cost_matrix(c)
+def _solve(rhos, omegas, cmat, cfg: SolverConfig):
+    """`solve_min_couplings` on validated (N, 2, 2) stacks and a cost matrix;
+    also returns the mask of pairs taken as identical states."""
     rho_ts = np.ascontiguousarray(rhos.transpose(0, 2, 1))
     n = len(rhos)
 
@@ -502,7 +511,7 @@ def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> 
     if identical.any():
         roots = vec(sqrt_psd(rhos[identical]))
         mats[identical] = roots[:, :, None] * roots[:, None, :].conj()
-        value[identical] = self_distance_sq(rhos[identical], cmat)
+        value[identical] = _self_distance_sq(rhos[identical], cmat)
 
     lanes = np.flatnonzero(~identical & ~pure)
     for start in range(0, lanes.size, _MAX_LANES):
@@ -514,7 +523,7 @@ def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> 
 
     value = np.maximum(value, 0.0)
     closed = identical | pure
-    return [
+    results = [
         TransportResult(
             float(value[i]),
             Coupling(mats[i], omegas[i], rho_ts[i]),
@@ -524,6 +533,20 @@ def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> 
         )
         for i in range(n)
     ]
+    return results, identical
+
+
+def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> list:
+    """`solve_min_coupling` for each pair (rhos[i], omegas[i]): one result per pair.
+
+    Closed forms are decided per pair.  The pairs left for the interior-point
+    solve run together in batched barriers of up to `_MAX_LANES` pairs, each
+    pair with its own path and certificate; a single pair runs the
+    single-pair loop, which is faster for one pair.  Results do not depend on
+    how pairs are grouped.
+    """
+    cfg = config if config is not None else SolverConfig()
+    return _solve(*_state_stacks(rhos, omegas), cost_matrix(c), cfg)[0]
 
 
 def solve_min_coupling(rho, omega, c, config: SolverConfig | None = None) -> TransportResult:
@@ -537,11 +560,15 @@ def solve_min_coupling(rho, omega, c, config: SolverConfig | None = None) -> Tra
     return solve_min_couplings([rho], [omega], c, config)[0]
 
 
+def _self_distance_sq(rho, cmat):
+    """`self_distance_sq` of a validated state or stack and a cost matrix."""
+    return np.maximum(bra_cost_ket(sqrt_psd(rho), cmat), 0.0)
+
+
 def self_distance_sq(rho, c):
     """Squared self-distance via the rank-one coupling of vec(sqrt(rho)); a
     stack of states gives an array."""
-    rho = validate_state(rho, "rho")
-    return np.maximum(bra_cost_ket(sqrt_psd(rho), cost_matrix(c)), 0.0)
+    return _self_distance_sq(validate_state(rho, "rho"), cost_matrix(c))
 
 
 def wasserstein_distance(rho, omega, c, config: SolverConfig | None = None) -> float:
@@ -558,11 +585,11 @@ def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -
     batched transport solve and one self-distance call per side."""
     cfg = config if config is not None else SolverConfig()
     rhos, omegas = _state_stacks(rhos, omegas)
-    results = solve_min_couplings(rhos, omegas, c, cfg)
-    s1, s2 = self_distance_sq(rhos, c), self_distance_sq(omegas, c)
+    cmat = cost_matrix(c)
+    results, identical = _solve(rhos, omegas, cmat, cfg)
+    s1, s2 = _self_distance_sq(rhos, cmat), _self_distance_sq(omegas, cmat)
     # Identical states take s1 as their distance and as s2, so that the
     # radicand cancels to exactly zero.
-    identical = _closed_forms(rhos, omegas, cfg.fast_paths)[0]
     dist = np.where(identical, s1, [r.optimal_value for r in results])
     s2 = np.where(identical, s1, s2)
     radicand = dist - 0.5 * (s1 + s2)

@@ -35,7 +35,6 @@ from .transport import (
     SolverConfig,
     coupling_cost,
     divergence_breakdowns,
-    product_coupling,
     self_distance_sq,
     solve_min_coupling,
     solve_min_couplings,
@@ -112,10 +111,6 @@ def _ball_blochs(seed: int, first: int, samples: int) -> np.ndarray:
     return np.array([random_bloch_in_ball(derived_rng(seed, first + i)) for i in range(samples)]).reshape(-1, 3)
 
 
-def _states(blochs) -> np.ndarray:
-    return np.array([state_from_bloch(b) for b in blochs], dtype=complex).reshape(-1, 2, 2)
-
-
 # Per cost: closed form, published form, and the published form's share of the optimum.
 _SELF_FORMS = {
     "sym": ("4(1-sqrt(1-|b|^2))", "2(1-sqrt(1-|b|^2))", "half", SYM_PUBLISHED_SCALE),
@@ -135,7 +130,7 @@ def self_distance_table(blochs, cost: str, config: SolverConfig | None = None, n
         raise DomainError(f"self_distance_table: unknown cost {cost!r}; choose from {sorted(_SELF_FORMS)}")
     blochs = np.asarray(blochs, dtype=float).reshape(-1, 3)
     norms = np.linalg.norm(blochs, axis=1) if norms is None else np.asarray(norms, dtype=float)
-    rhos = _states(blochs)
+    rhos = state_from_bloch(blochs)
     if cost == "sym":
         c, args = sym_cost(), [(r,) for r in norms]
         closed, published = sym_self_distance_sq_closed, sym_self_distance_sq_published
@@ -177,16 +172,17 @@ def suite_sym_closed_forms(
     c = sym_cost()
 
     b1, b2 = _pure_pairs(seed, samples)
-    r1, r2 = _states(b1), _states(b2)
+    r1, r2 = state_from_bloch(b1), state_from_bloch(b2)
     costs = _values(solve_min_couplings(r1, r2, c))
     divs = np.array([d.divergence for d in divergence_breakdowns(r1, r2, c)])
     cost_devs = np.abs(costs - (6.0 - 2.0 * (b1 * b2).sum(axis=1)))
     div_devs = np.abs(divs - np.linalg.norm(b1 - b2, axis=1))
 
-    self_pure_devs = []
-    for i in range(min(samples, 200)):
-        rho = state_from_bloch(random_bloch_on_sphere(derived_rng(seed, 10_000 + i)))
-        self_pure_devs.append(abs(coupling_cost(product_coupling(rho, rho), c) - 4.0))
+    pure = state_from_bloch(np.reshape(
+        [random_bloch_on_sphere(derived_rng(seed, 10_000 + i)) for i in range(min(samples, 200))], (-1, 3)
+    ))
+    products = np.einsum("nij,nlk->nikjl", pure, pure).reshape(-1, 4, 4)  # rho (x) rho^T
+    self_pure_devs = np.abs(coupling_cost(products, c) - 4.0)
 
     return SuiteResult(
         suite="sym-closed-forms",
@@ -211,13 +207,13 @@ def suite_z_closed_forms(
     forced = SolverConfig(fast_paths=False) if config is None else config
 
     b1, b2 = _pure_pairs(seed, samples)
-    costs = _values(solve_min_couplings(_states(b1), _states(b2), c))
+    costs = _values(solve_min_couplings(state_from_bloch(b1), state_from_bloch(b2), c))
     pair_devs = np.abs(costs - (2.0 - 2.0 * b1[:, 2] * b2[:, 2]))
 
     tu = np.array([derived_rng(seed, 30_000 + i).uniform(-0.98, 0.98, size=2)
                    for i in range(min(samples, 100))]).reshape(-1, 2)
-    rho_d, omega_d = ([state_from_bloch((0.0, 0.0, float(t))) for t in col] for col in tu.T)
-    diag_devs = np.abs(_values(solve_min_couplings(rho_d, omega_d, c, forced)) - 2.0 * np.abs(tu[:, 0] - tu[:, 1]))
+    diag = state_from_bloch(np.stack((np.zeros_like(tu), np.zeros_like(tu), tu), axis=-1))
+    diag_devs = np.abs(_values(solve_min_couplings(diag[:, 0], diag[:, 1], c, forced)) - 2.0 * np.abs(tu[:, 0] - tu[:, 1]))
 
     poles = solve_min_coupling(
         state_from_bloch((0.0, 0.0, 1.0)), state_from_bloch((0.0, 0.0, -1.0)), c
@@ -334,13 +330,14 @@ def suite_divergence_triangle(
     reported with the offending triple rather than silently dropped.
     """
     c = sym_cost()
-    edges = ((0, 1), (0, 2), (1, 2))
-    triples = []
+    blochs = []
     for i in range(samples):
         rng = derived_rng(seed, i)
-        triples.append([state_from_bloch(random_bloch_in_ball(rng)) for _ in range(3)])
+        blochs.append([random_bloch_in_ball(rng) for _ in range(3)])
+    triples = state_from_bloch(np.reshape(blochs, (-1, 3, 3)))
+    # edges (0, 1), (0, 2), (1, 2) of each triple
     breakdowns = divergence_breakdowns(
-        [t[a] for t in triples for a, _ in edges], [t[b] for t in triples for _, b in edges], c, config
+        triples[:, [0, 0, 1]].reshape(-1, 2, 2), triples[:, [1, 2, 2]].reshape(-1, 2, 2), c, config
     )
     excesses, witnesses = [], []
     for k, states in enumerate(triples):

@@ -18,6 +18,7 @@ from qwasser.transport import (
     SolverConfig,
     coupling_cost,
     divergence_breakdown,
+    divergence_breakdowns,
     product_coupling,
     self_distance_sq,
     solve_min_coupling,
@@ -186,20 +187,17 @@ def test_criterion_06_dz_theorem_equivalence_harness():
 
 
 def test_criterion_07_wigner_invariance():
-    dev_dist = dev_div = 0.0
+    pairs, images = [], []
     for k in range(200):
         state_map = sample_wigner_map(derived_rng(107, k))
-        pairs = sample_state_pairs(derived_rng(107, 100_000 + k), 20)
-        for rho, omega in pairs:
-            before = divergence_breakdown(rho, omega, C_SYM)
-            after = divergence_breakdown(
-                apply_state_map(state_map, rho), apply_state_map(state_map, omega), C_SYM
-            )
-            dev_dist = max(
-                dev_dist,
-                abs(math.sqrt(after.distance_sq) - math.sqrt(before.distance_sq)),
-            )
-            dev_div = max(dev_div, abs(after.divergence - before.divergence))
+        stack = sample_state_pairs(derived_rng(107, 100_000 + k), 20)
+        pairs.append(stack)
+        images.append(apply_state_map(state_map, stack))
+    pairs, images = np.concatenate(pairs), np.concatenate(images)
+    before = divergence_breakdowns(pairs[:, 0], pairs[:, 1], C_SYM)
+    after = divergence_breakdowns(images[:, 0], images[:, 1], C_SYM)
+    dev_dist = max(abs(math.sqrt(a.distance_sq) - math.sqrt(b.distance_sq)) for a, b in zip(after, before))
+    dev_div = max(abs(a.divergence - b.divergence) for a, b in zip(after, before))
     ok = dev_dist <= 1e-6 and dev_div <= 1e-6
     report(
         7,

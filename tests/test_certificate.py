@@ -21,6 +21,7 @@ from qwasser.transport import (
     product_coupling,
     self_distance_sq,
     solve_min_coupling,
+    solve_min_couplings,
 )
 
 COSTS = {"sym": sym_cost(), "z": z_cost()}
@@ -83,6 +84,46 @@ def test_near_pure_regressions(name, b_rho, b_omega):
     res = solve_min_coupling(state_from_bloch(b_rho), state_from_bloch(b_omega), COSTS[name])
     assert res.solver_status == "converged"
     assert res.duality_gap_or_residual <= TOL
+
+
+# 1 - |b_rho| = 1.0e-13: mid-path, M is singular to working precision, and
+# numpy's LinAlgError from inverting it used to escape the solve.
+SINGULAR_NEWTON_PAIR = (
+    (-0.9434261702775069, -0.24476926919353414, -0.2236851941765033),
+    (-0.16702735492270018, 0.7890907436060359, 0.09388218771759121),
+)
+
+
+@pytest.mark.parametrize("name", sorted(COSTS))
+def test_singular_newton_system_ends_the_lane_with_an_honest_gap(name):
+    c, forced = COSTS[name], SolverConfig(fast_paths=False)
+    rho, omega = (state_from_bloch(b) for b in SINGULAR_NEWTON_PAIR)
+    mixed = [state_from_bloch(random_bloch_in_ball(derived_rng(77, i))) for i in range(3)]
+    single = solve_min_coupling(rho, omega, c, forced)
+    batch = solve_min_couplings([rho, *mixed], [omega, *mixed[::-1]], c, forced)
+    upper = coupling_cost(product_coupling(rho, omega), c)
+    for res in (single, batch[0]):
+        gap = res.duality_gap_or_residual
+        assert math.isfinite(gap) and gap >= 0.0
+        assert res.solver_status == ("converged" if gap <= TOL else "max_iterations")
+        assert 0.0 <= res.optimal_value <= upper + ROUNDING
+    # each result's bound holds for the other's value: one optimum lies between
+    assert lower_bound(single) <= batch[0].optimal_value + ROUNDING
+    assert lower_bound(batch[0]) <= single.optimal_value + ROUNDING
+    for res in batch[1:]:
+        assert res.solver_status == "converged"
+
+
+def test_gap_is_capped_by_the_trivial_bound():
+    # 1 - |b_rho| = 1e-14.  In a batch the last iterate is too near singular
+    # for its certificate, whose bound once fell below lambda_min(C) = 0
+    # (gap 7.02 on a value of 5.88).
+    rho = state_from_bloch((0.8421879556353905, -0.08845025000993414, -0.5318796862598171))
+    omega = state_from_bloch((0.34513420361496405, 0.3283277114959644, 0.3771625043099415))
+    c = COSTS["sym"]
+    floor = float(np.linalg.eigvalsh(c.matrix)[0])
+    for res in solve_min_couplings([rho, rho], [omega, omega], c, SolverConfig(fast_paths=False)):
+        assert res.duality_gap_or_residual <= res.optimal_value - floor + ROUNDING
 
 
 def _bloch(theta: float, phi: float, norm: float) -> np.ndarray:

@@ -231,6 +231,26 @@ class TestSolverErrors:
             assert "Traceback" not in err
 
 
+class TestNearPure:
+    # 1 - |b| = 1.0e-13 for the first state; its forced solve once died of
+    # numpy's LinAlgError (see test_certificate.py)
+    PAIR = [
+        "bloch:-0.9434261702775069,-0.24476926919353414,-0.2236851941765033",
+        "bloch:-0.16702735492270018,0.7890907436060359,0.09388218771759121",
+    ]
+
+    def test_forced_solve_reports_its_uncertified_result(self, capsys):
+        code, out, err = run_cli(capsys, ["distance", "--no-fast-paths", *self.PAIR])
+        # the barrier cannot certify this pair to 1e-8: exit 3 with the
+        # result, its status and its honest gap, not a solver error
+        assert code == 3 and err == ""
+        assert "status     = max_iterations" in out
+
+    def test_fast_paths_take_the_closed_form(self, capsys):
+        code, out, err = run_cli(capsys, ["distance", *self.PAIR])
+        assert code == 0 and "closed_form" in out
+
+
 class TestUsageErrors:
     def test_unknown_suite_exit_2(self, capsys):
         assert run_cli(capsys, ["verify", "nope"])[0] == 2

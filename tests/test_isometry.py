@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwasser.errors import DomainError
 from qwasser.isometry import (
@@ -17,16 +19,26 @@ from qwasser.isometry import (
     check_isometry,
     discontinuous_z_phase_field_map,
     dz_condition_report,
+    fixed_panel_states,
     orthogonal_bloch_map,
     rotation_to_unitary,
+    sample_b3_negating_bloch_map,
+    sample_state_pairs,
     sample_wigner_map,
+    sample_z_phase_field_map,
     satisfies_dz_condition,
     theorem_crosscheck_dz,
     unitary_conj_map,
     z_phase_field_map,
     z_phase_unitary,
 )
-from qwasser.sampling import derived_rng, random_bloch_in_ball, random_rotation, random_unitary
+from qwasser.sampling import (
+    derived_rng,
+    random_bloch_in_ball,
+    random_bloch_on_sphere,
+    random_rotation,
+    random_unitary,
+)
 from qwasser.states import PAULI, bloch_from_state, state_from_bloch
 from qwasser.cost import z_cost
 from qwasser.transport import solve_min_coupling
@@ -57,6 +69,80 @@ class TestApply:
         m = bloch_self_map(lambda b: 2.0 * b + np.array([1.0, 0, 0]), "bad")
         with pytest.raises(DomainError):
             apply_state_map(m, state_from_bloch([0.9, 0, 0]))
+
+
+def one_state_apply(state_map, rho):
+    """apply_state_map as written for a single state: the reference a stack
+    must match state by state, bit for bit and error for error."""
+    f = state_map.payload
+    if state_map.kind == "unitary_conj":
+        return f @ rho @ f.conj().T
+    if state_map.kind == "antiunitary_conj":
+        return f @ rho.conj() @ f.conj().T
+    if state_map.kind == "bloch_map":
+        return state_from_bloch(np.asarray(f(bloch_from_state(rho)), dtype=float))
+    t = float(f(rho))
+    u = np.array([[np.exp(1j * t), 0.0], [0.0, np.exp(-1j * t)]], dtype=complex)
+    return u @ rho @ u.conj().T
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a).view(float), np.asarray(b).view(float)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _map_of_kind(kind: str, seed: int):
+    rng = derived_rng(seed, 0)
+    if kind == "unitary_conj":
+        return unitary_conj_map(random_unitary(rng))
+    if kind == "antiunitary_conj":
+        return antiunitary_conj_map(random_unitary(rng))
+    if kind == "z_phase_field":
+        return sample_z_phase_field_map(rng)
+    if seed % 2:
+        return sample_b3_negating_bloch_map(rng)
+    s = float(rng.uniform(0.5, 1.5))  # images of outer states leave the ball when s > 1
+    return bloch_self_map(lambda b: s * b, f"scale({s:.3f})")
+
+
+class TestApplyStacks:
+    @settings(max_examples=80)
+    @given(
+        kind=st.sampled_from(["unitary_conj", "antiunitary_conj", "bloch_map", "z_phase_field"]),
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 6),
+        nested=st.booleans(),
+    )
+    @example(kind="bloch_map", seed=6, n=4, nested=True)  # images 1 and 2 leave the ball
+    def test_stack_matches_one_state_at_a_time(self, kind, seed, n, nested):
+        state_map = _map_of_kind(kind, seed)
+        rng = derived_rng(seed, 1)
+        rhos = state_from_bloch([
+            random_bloch_on_sphere(rng) if rng.uniform() < 0.3 else random_bloch_in_ball(rng) for _ in range(n)
+        ])
+        stack = rhos.reshape(2, -1, 2, 2) if nested and n % 2 == 0 else rhos
+        expected = []
+        for i, rho in enumerate(rhos):
+            try:
+                expected.append(one_state_apply(state_map, rho))
+            except DomainError as alone:
+                with pytest.raises(DomainError) as in_stack:
+                    apply_state_map(state_map, stack)
+                assert str(in_stack.value) == str(alone).replace("state_from_bloch:", f"state_from_bloch[{i}]:", 1)
+                with pytest.raises(DomainError) as single:
+                    state_map(rho)
+                assert str(single.value) == str(alone)
+                return
+        assert same_bits(apply_state_map(state_map, stack), np.reshape(expected, stack.shape))
+        for rho, image in zip(rhos, expected):
+            assert same_bits(state_map(rho), image)
+
+    def test_sampled_pairs_are_one_stack(self):
+        pairs = sample_state_pairs(derived_rng(3, 0), 11)
+        assert pairs.shape == (11, 2, 2, 2)
+        np.testing.assert_array_equal(pairs[:2], state_from_bloch([[[0, 0, 1], [0, 0, -1]], [[0, 0, 0], [0, 0, 1]]]))
+        np.testing.assert_array_equal(pairs[5, 0], pairs[5, 1])  # every fourth drawn pair is a self-pair
+        assert fixed_panel_states().shape == (7, 2, 2)
 
 
 class TestRotationToUnitary:

@@ -1,11 +1,16 @@
 """Unit tests for states and Bloch coordinates."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qwasser.errors import ContractViolation, DomainError
 from qwasser.sampling import random_bloch_in_ball
 from qwasser.states import (
+    BLOCH_CLAMP,
     PAULI,
     bloch_from_state,
     is_pure,
@@ -59,6 +64,86 @@ class TestBlochMaps:
     def test_rejects_far_outside(self):
         with pytest.raises(DomainError):
             state_from_bloch([0.0, 0.0, 1.01])
+
+
+def one_point_state_from_bloch(b):
+    """state_from_bloch as written for a single point: the reference a stack
+    must match row by row, bit for bit and error for error."""
+    b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise DomainError(f"state_from_bloch: non-finite Bloch coordinate in {b.tolist()}")
+    norm = float(np.linalg.norm(b))
+    if norm > 1.0 + BLOCH_CLAMP:
+        raise DomainError(f"state_from_bloch: Bloch norm {norm:.12g} outside the unit ball")
+    if norm > 1.0:
+        b = b / norm
+    return 0.5 * (PAULI[0] + b[0] * PAULI[1] + b[1] * PAULI[2] + b[2] * PAULI[3])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a).view(float), np.asarray(b).view(float)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _row(theta, phi, kind, t):
+    """A Bloch row of one kind; t in [0, 1] places it within its band."""
+    if kind == "nan":
+        row = np.zeros(3)
+        row[int(3 * t) % 3] = np.nan
+        return row
+    norm = {
+        "ball": t,
+        "sphere": 1.0,
+        "clamp": 1.0 + t * BLOCH_CLAMP,
+        "outside": 1.0 + BLOCH_CLAMP * (1.0 + 1e3 * t) + 1e-12,
+    }[kind]
+    return norm * np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+
+
+bloch_rows = st.builds(
+    _row,
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+    st.sampled_from(["ball", "ball", "sphere", "clamp", "outside", "nan"]),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestBlochStacks:
+    @settings(max_examples=150)
+    @given(rows=st.lists(bloch_rows, min_size=1, max_size=6), nested=st.booleans())
+    @example(rows=[_row(0.3, 0.2, "ball", 0.5), _row(1.1, 2.0, "clamp", 0.7)], nested=False)
+    @example(rows=[_row(0.3, 0.2, "ball", 0.5), _row(1.1, 2.0, "outside", 0.1)], nested=False)
+    @example(rows=[_row(0.3, 0.2, "sphere", 0.0), _row(2.0, 1.0, "ball", 0.9),
+                   _row(1.1, 2.0, "nan", 0.5), _row(0.7, 0.4, "outside", 0.0)], nested=True)
+    def test_stack_matches_one_point_at_a_time(self, rows, nested):
+        stack = np.array(rows)
+        if nested and len(rows) % 2 == 0:
+            stack = stack.reshape(2, -1, 3)
+        expected = []
+        for i, row in enumerate(rows):
+            try:
+                expected.append(one_point_state_from_bloch(row))
+            except DomainError as alone:
+                # the first bad row fails the stack with its own error and index
+                with pytest.raises(DomainError) as in_stack:
+                    state_from_bloch(stack)
+                assert str(in_stack.value) == str(alone).replace("state_from_bloch:", f"state_from_bloch[{i}]:", 1)
+                with pytest.raises(DomainError) as single:
+                    state_from_bloch(row)
+                assert str(single.value) == str(alone)
+                return
+        assert same_bits(state_from_bloch(stack), np.reshape(expected, (*stack.shape[:-1], 2, 2)))
+        for row, rho in zip(rows, expected):
+            assert same_bits(state_from_bloch(row), rho)
+
+    def test_empty_stack(self):
+        assert state_from_bloch(np.empty((0, 3))).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 2)])
+    def test_wrong_trailing_shape(self, shape):
+        with pytest.raises(DomainError, match="expected 3 real coordinates"):
+            state_from_bloch(np.zeros(shape))
 
 
 class TestPurity:

@@ -11,7 +11,50 @@ from qwasser.cost import sym_cost, z_cost
 from qwasser.errors import DomainError
 from qwasser.states import state_from_bloch
 from qwasser.transport import SolverConfig, self_distance_sq, solve_min_coupling
-from qwasser.verify import run_suite, self_distance_table
+from qwasser.verify import SUITE_NAMES, run_suite, self_distance_table
+
+
+# (check name, samples, max_deviation) of every suite at seed 0 and default
+# samples.  A change to the suites or the harness that keeps their arithmetic
+# keeps every bit of these; a BLAS build with other rounding may move the
+# roundoff-sized ones.
+SEED0_FIGURES = {
+    "sym-closed-forms": [
+        ("pure-pair-cost-6-minus-2-dot", 500, 1.7763568394002505e-15),
+        ("pure-pair-divergence-euclidean", 500, 1.5178466475362917e-07),
+        ("pure-self-product-cost-4", 200, 1.7763568394002505e-15),
+        ("self-distance-sdp-purification-closed-form", 500, 1.0997500687892625e-09),
+        ("published-self-distance-formula-flagged", 500, 8.881784197001252e-15),
+    ],
+    "z-closed-forms": [
+        ("pure-pair-cost-2-minus-2-zw", 500, 8.881784197001252e-16),
+        ("diagonal-pair-classical-cost", 100, 3.971516449041701e-10),
+        ("pole-pair-squared-diameter-4", 1, 0.0),
+        ("self-distance-sdp-purification-closed-form", 500, 1.0995790944434702e-09),
+        ("published-self-distance-formula-flagged", 500, 3.9968028886505635e-15),
+    ],
+    "dsym-isometries": [
+        ("wigner-conjugations-preserve-distance-and-divergence", 50, 4.119028855428808e-07),
+        ("non-rigid-maps-detected-with-witness", 5, 0.0),
+    ],
+    "dz-theorem": [
+        ("crosscheck-z_rotations", 50, 0.0),
+        ("crosscheck-x_flip_composites", 50, 0.0),
+        ("crosscheck-z_phase_fields", 50, 0.0),
+        ("crosscheck-b3_negating_bloch_maps", 50, 0.0),
+        ("crosscheck-adversarial", 50, 0.0),
+    ],
+    "divergence-triangle": [
+        ("triangle-inequality-excess", 200, 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_seed0_default_figures_are_pinned(suite):
+    result = run_suite(suite)
+    assert result.passed
+    assert [(c.name, c.samples, c.max_deviation) for c in result.checks] == SEED0_FIGURES[suite]
 
 
 @pytest.mark.parametrize(
