@@ -47,7 +47,6 @@ from .transport import (
     DivergenceBreakdown,
     SolverConfig,
     TransportResult,
-    coupling_conjugate,
     coupling_cost,
     divergence_breakdown,
     divergence_breakdowns,

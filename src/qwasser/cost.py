@@ -48,11 +48,11 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
 
 
-def require_unitary(u, tol: float = UNITARY_TOL, what: str = "unitary") -> np.ndarray:
-    u = require_square(u, (2,), what)
+def require_unitary(u) -> np.ndarray:
+    u = require_square(u, (2,), "unitary")
     defect = unitarity_defect(u)
-    if defect > tol:
-        raise DomainError(f"{what}: not unitary (defect {defect:.3e})")
+    if defect > UNITARY_TOL:
+        raise DomainError(f"unitary: not unitary (defect {defect:.3e})")
     return u
 
 

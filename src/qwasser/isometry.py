@@ -36,7 +36,7 @@ from .errors import DomainError
 from .linalg import dagger
 from .sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
 from .states import PAULI, bloch_from_state, state_from_bloch, validate_state
-from .transport import SolverConfig, divergence_breakdowns, solve_min_couplings
+from .transport import divergence_breakdowns, solve_min_couplings
 
 METRICS = ("D_sym", "D_z", "d_sym")
 
@@ -209,22 +209,15 @@ def sample_state_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
     return state_from_bloch(np.array(blochs[:n], dtype=float).reshape(-1, 2, 3))
 
 
-def _metric_values(metric: str, rhos, omegas, config: SolverConfig | None) -> np.ndarray:
+def _metric_values(metric: str, rhos, omegas) -> np.ndarray:
     """The metric on each pair (rhos[i], omegas[i]), from one batched solve."""
     if metric == "d_sym":
-        return np.array([b.divergence for b in divergence_breakdowns(rhos, omegas, sym_cost(), config)])
+        return np.array([b.divergence for b in divergence_breakdowns(rhos, omegas, sym_cost())])
     c = sym_cost() if metric == "D_sym" else z_cost()
-    return np.sqrt([r.optimal_value for r in solve_min_couplings(rhos, omegas, c, config)])
+    return np.sqrt([r.optimal_value for r in solve_min_couplings(rhos, omegas, c)])
 
 
-def check_isometries(
-    state_maps: list,
-    seeds: list,
-    metric: str,
-    n_samples: int = 12,
-    tol: float = 1e-5,
-    config: SolverConfig | None = None,
-) -> list:
+def check_isometries(state_maps: list, seeds: list, metric: str, n_samples: int = 12, tol: float = 1e-5) -> list:
     """`check_isometry` for each map, map k on the pairs of seed seeds[k];
     every metric value comes from one batched solve."""
     if n_samples < 1:
@@ -237,7 +230,7 @@ def check_isometries(
         samples.append(pairs)
         stacks += [pairs, apply_state_map(state_map, pairs)]
     both = np.concatenate(stacks)
-    values = _metric_values(metric, both[:, 0], both[:, 1], config).reshape(len(state_maps), 2, -1)
+    values = _metric_values(metric, both[:, 0], both[:, 1]).reshape(len(state_maps), 2, -1)
     reports = []
     for state_map, pairs, (before, after) in zip(state_maps, samples, values):
         dev = np.abs(after - before)
@@ -257,15 +250,10 @@ def check_isometries(
 
 
 def check_isometry(
-    state_map: StateMap,
-    metric: str,
-    n_samples: int = 12,
-    tol: float = 1e-5,
-    seed: int = 0,
-    config: SolverConfig | None = None,
+    state_map: StateMap, metric: str, n_samples: int = 12, tol: float = 1e-5, seed: int = 0
 ) -> IsometryReport:
     """Compare metric values before and after applying the map on sampled pairs."""
-    return check_isometries([state_map], [seed], metric, n_samples, tol, config)[0]
+    return check_isometries([state_map], [seed], metric, n_samples, tol)[0]
 
 
 def _dz_condition_samples(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -344,17 +332,12 @@ class CrosscheckReport:
 
 
 def theorem_crosscheck_dz(
-    map_sampler: Callable,
-    n_maps: int = 50,
-    n_samples: int = 12,
-    tol: float = 1e-5,
-    seed: int = 0,
-    config: SolverConfig | None = None,
+    map_sampler: Callable, n_maps: int = 50, n_samples: int = 12, tol: float = 1e-5, seed: int = 0
 ) -> CrosscheckReport:
     """For sampled maps, assert the metric check and the Bloch-level condition agree."""
     maps = [map_sampler(derived_rng(seed, 10_000 + k)) for k in range(n_maps)]
     seeds = [seed + k for k in range(n_maps)]
-    reports = check_isometries(maps, seeds, "D_z", n_samples, tol, config)
+    reports = check_isometries(maps, seeds, "D_z", n_samples, tol)
     per_map = []
     for state_map, report, map_seed in zip(maps, reports, seeds):
         holds, _ = dz_condition_report(state_map, max(3 * n_samples, 24), tol, map_seed)
@@ -398,12 +381,12 @@ def sample_z_phase_field_map(rng: np.random.Generator) -> StateMap:
     return z_phase_field_map(t_fn, f"z-phase-field(c={np.round(c, 3).tolist()})")
 
 
-def discontinuous_z_phase_field_map(threshold: float = 0.5) -> StateMap:
+def discontinuous_z_phase_field_map() -> StateMap:
     def t_fn(rho):
         b = bloch_from_state(rho)
-        return 0.3 if np.linalg.norm(b) > threshold else 2.1
+        return 0.3 if np.linalg.norm(b) > 0.5 else 2.1
 
-    return z_phase_field_map(t_fn, f"discontinuous-z-phase-field(r>{threshold})")
+    return z_phase_field_map(t_fn, "discontinuous-z-phase-field(r>0.5)")
 
 
 def sample_b3_negating_bloch_map(rng: np.random.Generator) -> StateMap:

@@ -61,12 +61,12 @@ def partial_trace_first(m) -> np.ndarray:
     return np.einsum("ikil->kl", m.reshape(2, 2, 2, 2))
 
 
-def eig_hermitian(m, tol: float = HERMITIAN_TOL):
+def eig_hermitian(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix or stack."""
     m = require_square(m, (2, 4), "eig_hermitian", stack=True)
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ContractViolation(f"eig_hermitian: not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    if defect > HERMITIAN_TOL:
+        raise ContractViolation(f"eig_hermitian: not Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})")
     return np.linalg.eigh(m)
 
 

@@ -38,11 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import cost_matrix, require_unitary
+from .cost import cost_matrix
 from .errors import DomainError, InternalConsistencyError, SolverAccuracyError
 from .linalg import (
     bra_cost_ket,
-    dagger,
     partial_trace_first,
     partial_trace_second,
     sqrt_psd,
@@ -183,23 +182,6 @@ def coupling_cost(pi, c):
     if imag > 1e-8:
         raise InternalConsistencyError(f"coupling_cost: imaginary part {imag:.3e}")
     return float(vals.real) if vals.ndim == 0 else vals.real
-
-
-def coupling_conjugate(pi: Coupling, u_left, u_right) -> Coupling:
-    """Conjugate a coupling by u_left (x) conj(u_right).
-
-    The marginals transform as omega -> u_left omega u_left^dag and
-    rho -> u_right rho u_right^dag, and the cost under any conjugation-
-    invariant cost operator is unchanged.
-    """
-    u_left = require_unitary(u_left, what="u_left")
-    u_right = require_unitary(u_right, what="u_right")
-    big = np.kron(u_left, transpose_op(dagger(u_right)))
-    matrix = big @ pi.matrix @ dagger(big)
-    omega = u_left @ pi.first_marginal @ dagger(u_left)
-    rho = transpose_op(pi.second_marginal_transposed)
-    rho_t = transpose_op(u_right @ rho @ dagger(u_right))
-    return Coupling(matrix, omega, rho_t)
 
 
 def _affine_parts(rhos, omegas):
@@ -542,8 +524,10 @@ def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> 
     Closed forms are decided per pair.  The pairs left for the interior-point
     solve run together in batched barriers of up to `_MAX_LANES` pairs, each
     pair with its own path and certificate; a single pair runs the
-    single-pair loop, which is faster for one pair.  Results do not depend on
-    how pairs are grouped.
+    single-pair loop, which is faster for one pair.  A lane the path
+    certifies gets the same value, within 1e-11, however the pairs are
+    grouped.  A lane singular to working precision may stop at another
+    iterate in another grouping; its gap still bounds that iterate.
     """
     cfg = config if config is not None else SolverConfig()
     return _solve(*_state_stacks(rhos, omegas), cost_matrix(c), cfg)[0]

@@ -4,8 +4,10 @@ Each suite draws seeded samples, measures deviations against the transport
 solver, and returns a structured result the CLI can serialize.  Per-sample
 random streams are derived from (seed, counter).  A suite draws its pairs
 first and solves them together in batched calls (`solve_min_couplings`,
-`divergence_breakdowns`, `check_isometries`), whose per-pair results do not
-depend on the grouping.
+`divergence_breakdowns`, `check_isometries`), whose certified per-pair results
+do not depend on the grouping.  Solves run at the solver defaults, except the
+`sdp` self-distances and the diagonal z pairs, which are forced through the
+barrier (`_FORCED`).
 
 Both closed-form suites and the CLI's `selfdist-table` take every
 self-distance value from `self_distance_table`, with one batched solve.
@@ -119,13 +121,17 @@ _SELF_FORMS = {
 }
 
 
-def self_distance_table(blochs, cost: str, config: SolverConfig | None = None, norms=None) -> dict:
+# Solves that must run the barrier even where a closed form is known.
+_FORCED = SolverConfig(fast_paths=False)
+
+
+def self_distance_table(blochs, cost: str, norms=None) -> dict:
     """Self-distances under the "sym" or "z" cost of the states with Bloch
     vectors `blochs`, four ways, keyed by the `selfdist-table` column names.
 
-    The solve is forced through the barrier unless `config` is given.  The closed
-    and published forms take `norms` (default: |b| of each row); near the sphere
-    they magnify a computed norm's last-bit error, so a grid passes its own."""
+    The solve is always forced through the barrier.  The closed and published
+    forms take `norms` (default: |b| of each row); near the sphere they
+    magnify a computed norm's last-bit error, so a grid passes its own."""
     if cost not in _SELF_FORMS:
         raise DomainError(f"self_distance_table: unknown cost {cost!r}; choose from {sorted(_SELF_FORMS)}")
     blochs = np.asarray(blochs, dtype=float).reshape(-1, 3)
@@ -137,20 +143,19 @@ def self_distance_table(blochs, cost: str, config: SolverConfig | None = None, n
     else:
         c, args = z_cost(), list(zip(norms, blochs[:, 2]))
         closed, published = z_self_distance_sq_closed, z_self_distance_sq_published
-    forced = SolverConfig(fast_paths=False) if config is None else config
     return {
         "selfdist_sq_purification": self_distance_sq(rhos, c),
         "selfdist_sq_closed_form": np.array([closed(*a) for a in args]),
         "selfdist_sq_published_form": np.array([published(*a) for a in args]),
-        "selfdist_sq_sdp": _values(solve_min_couplings(rhos, rhos, c, forced)),
+        "selfdist_sq_sdp": _values(solve_min_couplings(rhos, rhos, c, _FORCED)),
     }
 
 
-def _self_distance_checks(cost: str, samples: int, seed: int, tolerance: float, config) -> list:
+def _self_distance_checks(cost: str, samples: int, seed: int, tolerance: float) -> list:
     """A closed-form suite's two self-distance checks on ball samples: solve,
     coupling and closed form agree, and the published form is off by its scale."""
     closed_form, published_form, share, scale = _SELF_FORMS[cost]
-    table = self_distance_table(_ball_blochs(seed, 20_000, samples), cost, config)
+    table = self_distance_table(_ball_blochs(seed, 20_000, samples), cost)
     sdp, pur = table["selfdist_sq_sdp"], table["selfdist_sq_purification"]
     closed = table["selfdist_sq_closed_form"]
     triple_devs = np.maximum.reduce([np.abs(sdp - pur), np.abs(sdp - closed), np.abs(pur - closed)])
@@ -164,9 +169,7 @@ def _self_distance_checks(cost: str, samples: int, seed: int, tolerance: float, 
     ]
 
 
-def suite_sym_closed_forms(
-    samples: int = 500, seed: int = 0, tolerance: float = 1e-6, config: SolverConfig | None = None
-) -> SuiteResult:
+def suite_sym_closed_forms(samples: int = 500, seed: int = 0, tolerance: float = 1e-6) -> SuiteResult:
     """Pure-pair cost law, divergence-Euclidean law, and self-distance forms
     for the all-Pauli cost."""
     c = sym_cost()
@@ -193,18 +196,15 @@ def suite_sym_closed_forms(
             _check("pure-pair-cost-6-minus-2-dot", cost_devs, tolerance),
             _check("pure-pair-divergence-euclidean", div_devs, tolerance),
             _check("pure-self-product-cost-4", self_pure_devs, tolerance),
-            *_self_distance_checks("sym", samples, seed, tolerance, config),
+            *_self_distance_checks("sym", samples, seed, tolerance),
         ],
     )
 
 
-def suite_z_closed_forms(
-    samples: int = 500, seed: int = 0, tolerance: float = 1e-6, config: SolverConfig | None = None
-) -> SuiteResult:
+def suite_z_closed_forms(samples: int = 500, seed: int = 0, tolerance: float = 1e-6) -> SuiteResult:
     """Pure-pair law, diagonal-pair law, pole diameter, and self-distance forms
     for the single-sigma_z cost."""
     c = z_cost()
-    forced = SolverConfig(fast_paths=False) if config is None else config
 
     b1, b2 = _pure_pairs(seed, samples)
     costs = _values(solve_min_couplings(state_from_bloch(b1), state_from_bloch(b2), c))
@@ -213,7 +213,8 @@ def suite_z_closed_forms(
     tu = np.array([derived_rng(seed, 30_000 + i).uniform(-0.98, 0.98, size=2)
                    for i in range(min(samples, 100))]).reshape(-1, 2)
     diag = state_from_bloch(np.stack((np.zeros_like(tu), np.zeros_like(tu), tu), axis=-1))
-    diag_devs = np.abs(_values(solve_min_couplings(diag[:, 0], diag[:, 1], c, forced)) - 2.0 * np.abs(tu[:, 0] - tu[:, 1]))
+    diag_vals = _values(solve_min_couplings(diag[:, 0], diag[:, 1], c, _FORCED))
+    diag_devs = np.abs(diag_vals - 2.0 * np.abs(tu[:, 0] - tu[:, 1]))
 
     poles = solve_min_coupling(
         state_from_bloch((0.0, 0.0, 1.0)), state_from_bloch((0.0, 0.0, -1.0)), c
@@ -228,20 +229,18 @@ def suite_z_closed_forms(
             _check("pure-pair-cost-2-minus-2-zw", pair_devs, tolerance),
             _check("diagonal-pair-classical-cost", diag_devs, tolerance),
             _check("pole-pair-squared-diameter-4", [abs(poles - 4.0)], tolerance),
-            *_self_distance_checks("z", samples, seed, tolerance, config),
+            *_self_distance_checks("z", samples, seed, tolerance),
         ],
     )
 
 
-def suite_dsym_isometries(
-    samples: int = 50, seed: int = 0, tolerance: float = 1e-6, config: SolverConfig | None = None
-) -> SuiteResult:
+def suite_dsym_isometries(samples: int = 50, seed: int = 0, tolerance: float = 1e-6) -> SuiteResult:
     """Unitary and antiunitary conjugations preserve both the distance and the
     divergence of the all-Pauli cost; non-rigid maps are caught with witnesses."""
     wigner = [sample_wigner_map(derived_rng(seed, i)) for i in range(samples)]
     seeds = [seed + i for i in range(samples)]
-    dist = check_isometries(wigner, seeds, "D_sym", 8, tolerance, config)
-    div = check_isometries(wigner, seeds, "d_sym", 8, tolerance, config)
+    dist = check_isometries(wigner, seeds, "D_sym", 8, tolerance)
+    div = check_isometries(wigner, seeds, "d_sym", 8, tolerance)
     wigner_devs = [max(a.max_abs_deviation, b.max_abs_deviation) for a, b in zip(dist, div)]
 
     n_adv = max(4, samples // 10)
@@ -249,7 +248,7 @@ def suite_dsym_isometries(
     for i in range(n_adv):
         rng = derived_rng(seed, 50_000 + i)
         adversarial.append(sample_z_phase_field_map(rng) if i % 2 else sample_non_rigid_map(rng))
-    reports = check_isometries(adversarial, [seed + i for i in range(n_adv)], "d_sym", 8, 1e-4, config)
+    reports = check_isometries(adversarial, [seed + i for i in range(n_adv)], "d_sym", 8, 1e-4)
     missed = [i for i, r in enumerate(reports) if r.verdict != "violated"]
     witnesses = []
     for state_map, report in zip(adversarial, reports):
@@ -282,16 +281,12 @@ def suite_dsym_isometries(
     )
 
 
-def suite_dz_theorem(
-    samples: int = 50, seed: int = 0, tolerance: float = 1e-5, config: SolverConfig | None = None
-) -> SuiteResult:
+def suite_dz_theorem(samples: int = 50, seed: int = 0, tolerance: float = 1e-5) -> SuiteResult:
     """Metric-level and Bloch-level characterizations of sigma_z-cost isometries
     agree on every sampled map family."""
     checks = []
     for name, sampler in MAP_FAMILIES.items():
-        report = theorem_crosscheck_dz(
-            sampler, n_maps=samples, n_samples=10, tol=tolerance, seed=seed, config=config
-        )
+        report = theorem_crosscheck_dz(sampler, n_maps=samples, n_samples=10, tol=tolerance, seed=seed)
         witnesses = []
         for r in report.disagreements:
             witnesses.append({"map": r.map_id, "isometry": r.isometry_verdict,
@@ -321,9 +316,7 @@ def suite_dz_theorem(
     )
 
 
-def suite_divergence_triangle(
-    samples: int = 200, seed: int = 0, tolerance: float = 1e-6, config: SolverConfig | None = None
-) -> SuiteResult:
+def suite_divergence_triangle(samples: int = 200, seed: int = 0, tolerance: float = 1e-6) -> SuiteResult:
     """Sampled triangle inequality for the all-Pauli divergence.
 
     A violation beyond tolerance indicates a solver accuracy bug and is
@@ -337,8 +330,7 @@ def suite_divergence_triangle(
     triples = state_from_bloch(np.reshape(blochs, (-1, 3, 3)))
     # edges (0, 1), (0, 2), (1, 2) of each triple
     breakdowns = divergence_breakdowns(
-        triples[:, [0, 0, 1]].reshape(-1, 2, 2), triples[:, [1, 2, 2]].reshape(-1, 2, 2), c, config
-    )
+        triples[:, [0, 0, 1]].reshape(-1, 2, 2), triples[:, [1, 2, 2]].reshape(-1, 2, 2), c)
     excesses, witnesses = [], []
     for k, states in enumerate(triples):
         d01, d02, d12 = (br.divergence for br in breakdowns[3 * k:3 * k + 3])
@@ -378,16 +370,10 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(
-    name: str,
-    samples: int | None = None,
-    seed: int = 0,
-    tolerance: float | None = None,
-    config: SolverConfig | None = None,
-) -> SuiteResult:
+def run_suite(name: str, samples: int | None = None, seed: int = 0, tolerance: float | None = None) -> SuiteResult:
     if name not in _SUITE_FNS:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    kwargs = {"seed": seed, "config": config}
+    kwargs = {"seed": seed}
     if samples is not None:
         kwargs["samples"] = samples
     if tolerance is not None:

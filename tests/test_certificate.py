@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwasser.cost import sym_cost, z_cost
-from qwasser.sampling import derived_rng, random_bloch_in_ball
+from qwasser.sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere
 from qwasser.states import state_from_bloch
 from qwasser.transport import (
     SolverConfig,
@@ -112,6 +112,22 @@ def test_singular_newton_system_ends_the_lane_with_an_honest_gap(name):
     assert lower_bound(batch[0]) <= single.optimal_value + ROUNDING
     for res in batch[1:]:
         assert res.solver_status == "converged"
+
+
+def test_uncertified_lane_may_depend_on_grouping_but_stays_honest():
+    # 1 - |b_rho| = 1e-14.  Alone, the lane runs all 500 steps to 4.2571847847
+    # with gap 5.3e-3; as two copies in one batch it stops after 13 steps at
+    # 4.2571850939 with gap 4.257.  Only the certified intervals must meet.
+    rho = state_from_bloch((1.0 - 1e-14) * random_bloch_on_sphere(derived_rng(7, 19)))
+    omega = state_from_bloch((0.20849323525596988, -0.51813557279212, -0.79417217071526))
+    c, forced = COSTS["sym"], SolverConfig(fast_paths=False)
+    alone = solve_min_coupling(rho, omega, c, forced)
+    batch = solve_min_couplings([rho, rho], [omega, omega], c, forced)
+    for res in (alone, *batch):
+        assert res.solver_status == "max_iterations"
+    for res in batch:
+        assert lower_bound(alone) <= res.optimal_value
+        assert lower_bound(res) <= alone.optimal_value
 
 
 def test_gap_is_capped_by_the_trivial_bound():

@@ -13,7 +13,6 @@ from qwasser.states import state_from_bloch
 from qwasser.transport import (
     Coupling,
     SolverConfig,
-    coupling_conjugate,
     coupling_cost,
     divergence_breakdown,
     divergence_breakdowns,
@@ -33,7 +32,6 @@ from qwasser.transport import (
 C_SYM = sym_cost()
 C_Z = z_cost()
 FORCED = SolverConfig(fast_paths=False)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 class TestProductCoupling:
@@ -330,47 +328,6 @@ class TestDivergence:
             abs=1e-14,
         )
         assert br.divergence == pytest.approx(math.sqrt(max(br.radicand, 0.0)), abs=1e-14)
-
-
-class TestCouplingConjugate:
-    def test_identity(self):
-        pi = product_coupling(state_from_bloch([0.1, 0.2, 0.3]), state_from_bloch([0, 0, 0.5]))
-        out = coupling_conjugate(pi, np.eye(2), np.eye(2))
-        np.testing.assert_allclose(out.matrix, pi.matrix, atol=1e-14)
-
-    def test_sx_preserves_z_cost(self):
-        rng = np.random.default_rng(15)
-        rho = state_from_bloch(random_bloch_in_ball(rng))
-        omega = state_from_bloch(random_bloch_in_ball(rng))
-        pi = solve_min_coupling(rho, omega, C_Z).optimal_coupling
-        out = coupling_conjugate(pi, PAULI_X, PAULI_X)
-        assert coupling_cost(out, C_Z) == pytest.approx(coupling_cost(pi, C_Z), abs=1e-10)
-        np.testing.assert_allclose(
-            out.first_marginal, PAULI_X @ omega @ PAULI_X, atol=1e-12
-        )
-
-    def test_marginal_transform_law(self):
-        rng = np.random.default_rng(16)
-        for _ in range(100):
-            rho = state_from_bloch(random_bloch_in_ball(rng))
-            omega = state_from_bloch(random_bloch_in_ball(rng))
-            pi = product_coupling(rho, omega)
-            u_left, u_right = random_unitary(rng), random_unitary(rng)
-            out = coupling_conjugate(pi, u_left, u_right)
-            assert out.marginal_residual() <= 1e-10
-            np.testing.assert_allclose(
-                out.first_marginal, u_left @ omega @ u_left.conj().T, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                out.second_marginal_transposed,
-                (u_right @ rho @ u_right.conj().T).T,
-                atol=1e-12,
-            )
-
-    def test_rejects_non_unitary(self):
-        pi = product_coupling(np.eye(2) / 2, np.eye(2) / 2)
-        with pytest.raises(DomainError):
-            coupling_conjugate(pi, np.diag([1.0, 2.0]), np.eye(2))
 
 
 class TestAuxiliaryMonotonicity:
