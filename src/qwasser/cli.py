@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -132,20 +133,6 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _config_echo(args, cfg: SolverConfig | None = None) -> dict:
-    echo = {}
-    if cfg is not None:
-        echo.update(
-            tolerance=cfg.tolerance,
-            max_iterations=cfg.max_iterations,
-            fast_paths=cfg.fast_paths,
-        )
-    for key in ("samples", "seed"):
-        if hasattr(args, key):
-            echo[key] = getattr(args, key)
-    return echo
-
-
 def _emit_report(args, command: str, config: dict, results: list, wall: float) -> None:
     if getattr(args, "json", False):
         report = {
@@ -177,7 +164,7 @@ def _cmd_distance(args) -> int:
     _emit_report(
         args,
         "distance",
-        _config_echo(args, cfg),
+        dataclasses.asdict(cfg),
         [
             {
                 "kind": "distance",
@@ -214,7 +201,7 @@ def _cmd_divergence(args) -> int:
     _emit_report(
         args,
         "divergence",
-        _config_echo(args, cfg),
+        dataclasses.asdict(cfg),
         [
             {
                 "kind": "divergence",
@@ -251,7 +238,7 @@ def _cmd_verify(args) -> int:
     _emit_report(
         args,
         "verify",
-        _config_echo(args),
+        {"samples": args.samples, "seed": args.seed},
         [
             {
                 "suite": result.suite,
@@ -310,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(p):
-        p.add_argument("--tolerance", type=float, default=1e-8, help="certified duality-gap target")
-        p.add_argument("--max-iterations", type=int, default=500)
+        p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance, help="certified duality-gap target")
+        p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
         p.add_argument("--no-fast-paths", action="store_true",
                        help="always run the interior-point solve when possible")
         p.add_argument("--json", action="store_true", help="emit a machine-readable report")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import dagger, hermiticity_defect, require_square, tensor, transpose_op, vec
+from .linalg import HERMITIAN_TOL, dagger, hermiticity_defect, require_square, tensor, transpose_op, vec
 from .states import PAULI
 
 UNITARY_TOL = 1e-10
@@ -23,8 +23,10 @@ UNITARY_TOL = 1e-10
 class CostOperator:
     """A 4x4 Hermitian PSD cost matrix plus the generator set it came from.
 
-    The generators are provenance only: equality of costs is matrix equality,
-    and distinct generator sets can produce the same matrix.
+    Only `build_cost` makes one, so every cost is generator-built: vec(I) is
+    in its kernel, and the solver's identical-state closed form is exact for
+    it.  The generators are provenance only: equality of costs is matrix
+    equality, and distinct generator sets can produce the same matrix.
     """
 
     matrix: np.ndarray
@@ -35,8 +37,9 @@ def _checked_generators(gens) -> tuple:
     out = []
     for k, a in enumerate(gens):
         a = require_square(a, (2,), f"generator {k}")
-        if hermiticity_defect(a) > 1e-12:
-            raise DomainError(f"generator {k} is not Hermitian")
+        defect = hermiticity_defect(a)  # inf for a non-finite entry
+        if not defect <= HERMITIAN_TOL:
+            raise DomainError(f"generator {k} is not finite and Hermitian (defect {defect:.3e})")
         out.append(a)
     if not out:
         raise DomainError("generator set must be nonempty")
@@ -44,14 +47,17 @@ def _checked_generators(gens) -> tuple:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
+    """max_ij |(u u^dag - I)[i,j]|; inf if an entry of u is not finite."""
     u = np.asarray(u, dtype=complex)
+    if not np.isfinite(u).all():
+        return np.inf
     return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
 
 
 def require_unitary(u) -> np.ndarray:
     u = require_square(u, (2,), "unitary")
     defect = unitarity_defect(u)
-    if defect > UNITARY_TOL:
+    if not defect <= UNITARY_TOL:
         raise DomainError(f"unitary: not unitary (defect {defect:.3e})")
     return u
 
@@ -86,9 +92,10 @@ def z_cost() -> CostOperator:
 
 
 def cost_matrix(c) -> np.ndarray:
-    """Accept a CostOperator or a raw 4x4 Hermitian matrix."""
-    m = c.matrix if isinstance(c, CostOperator) else c
-    return require_square(m, (4,), "cost")
+    """The matrix of a CostOperator; any other cost is a DomainError."""
+    if not isinstance(c, CostOperator):
+        raise DomainError(f"cost: expected a CostOperator from build_cost, got {type(c).__name__}")
+    return c.matrix
 
 
 def kernel_residual(c: CostOperator) -> float:

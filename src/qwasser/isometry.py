@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import require_unitary, sym_cost, z_cost
+from .cost import UNITARY_TOL, require_unitary, sym_cost, unitarity_defect, z_cost
 from .errors import DomainError
 from .linalg import dagger
 from .sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
@@ -75,10 +75,19 @@ def bloch_self_map(fn: Callable, label: str = "") -> StateMap:
     return StateMap("bloch_map", fn, label or "bloch-map")
 
 
-def orthogonal_bloch_map(o, label: str = "") -> StateMap:
+def _orthogonal(o, what: str) -> np.ndarray:
+    """o as a real orthogonal 3x3 matrix."""
     o = np.asarray(o, dtype=float)
-    if o.shape != (3, 3) or np.abs(o.T @ o - np.eye(3)).max() > 1e-10:
-        raise DomainError("orthogonal_bloch_map: payload is not orthogonal")
+    if o.shape != (3, 3):
+        raise DomainError(f"{what}: expected 3x3, got {o.shape}")
+    defect = unitarity_defect(o)
+    if not defect <= UNITARY_TOL:
+        raise DomainError(f"{what}: matrix is not orthogonal (defect {defect:.3e})")
+    return o
+
+
+def orthogonal_bloch_map(o, label: str = "") -> StateMap:
+    o = _orthogonal(o, "orthogonal_bloch_map")
     return StateMap("bloch_map", lambda b: o @ b, label or "orthogonal-bloch-map")
 
 
@@ -119,52 +128,26 @@ def apply_state_map(state_map: StateMap, rho) -> np.ndarray:
     raise DomainError(f"unknown state-map kind {kind!r}")
 
 
-def _quaternion_from_rotation(m: np.ndarray):
-    """Robust (Shepperd-style) quaternion extraction, accurate at all angles."""
-    t = m[0, 0] + m[1, 1] + m[2, 2]
-    if t > max(m[0, 0], m[1, 1], m[2, 2]):
-        r = math.sqrt(1.0 + t)
-        s = 0.5 / r
-        return 0.5 * r, np.array(
-            [(m[2, 1] - m[1, 2]) * s, (m[0, 2] - m[2, 0]) * s, (m[1, 0] - m[0, 1]) * s]
-        )
-    k = int(np.argmax([m[0, 0], m[1, 1], m[2, 2]]))
-    if k == 0:
-        r = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        s = 0.5 / r
-        w = (m[2, 1] - m[1, 2]) * s
-        v = np.array([0.5 * r, (m[0, 1] + m[1, 0]) * s, (m[0, 2] + m[2, 0]) * s])
-    elif k == 1:
-        r = math.sqrt(1.0 - m[0, 0] + m[1, 1] - m[2, 2])
-        s = 0.5 / r
-        w = (m[0, 2] - m[2, 0]) * s
-        v = np.array([(m[0, 1] + m[1, 0]) * s, 0.5 * r, (m[1, 2] + m[2, 1]) * s])
-    else:
-        r = math.sqrt(1.0 - m[0, 0] - m[1, 1] + m[2, 2])
-        s = 0.5 / r
-        w = (m[1, 0] - m[0, 1]) * s
-        v = np.array([(m[0, 2] + m[2, 0]) * s, (m[1, 2] + m[2, 1]) * s, 0.5 * r])
-    return w, v
-
-
 def rotation_to_unitary(o) -> np.ndarray:
     """Special unitary whose conjugation action on Bloch vectors equals o in SO(3).
 
     Axis-angle form: rotation by theta about unit axis n maps to
-    cos(theta/2) I - i sin(theta/2) (n . sigma).
+    w I - i (v . sigma) with the unit quaternion (w, v) = (cos(theta/2),
+    sin(theta/2) n).  Horn's symmetric matrix of o equals 4 q q^T - I for
+    q = (w, v), so q is its top eigenvector, isolated by a gap of 4 at every
+    angle.
     """
-    o = np.asarray(o, dtype=float)
-    if o.shape != (3, 3):
-        raise DomainError(f"rotation_to_unitary: expected 3x3, got {o.shape}")
-    if np.abs(o.T @ o - np.eye(3)).max() > 1e-10:
-        raise DomainError("rotation_to_unitary: matrix is not orthogonal")
+    o = _orthogonal(o, "rotation_to_unitary")
     if np.linalg.det(o) < 0.0:
         raise DomainError(
             "rotation_to_unitary: orientation-reversing input; factor out a "
             "reflection (complex conjugation) first"
         )
-    w, v = _quaternion_from_rotation(o)
-    return w * PAULI[0] - 1j * (v[0] * PAULI[1] + v[1] * PAULI[2] + v[2] * PAULI[3])
+    t = np.trace(o)
+    axial = np.array([o[2, 1] - o[1, 2], o[0, 2] - o[2, 0], o[1, 0] - o[0, 1]])
+    horn = np.block([[np.array([[t]]), axial[None]], [axial[:, None], o + o.T - t * np.eye(3)]])
+    w, x, y, z = np.linalg.eigh(horn)[1][:, -1]
+    return w * PAULI[0] - 1j * (x * PAULI[1] + y * PAULI[2] + z * PAULI[3])
 
 
 def bloch_action_matrix(u) -> np.ndarray:

@@ -16,6 +16,7 @@ from .errors import ContractViolation, InternalConsistencyError
 
 HERMITIAN_TOL = 1e-12
 PSD_CLAMP = 1e-10
+IMAG_TOL = 1e-8
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -24,7 +25,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max_ij |m[i,j] - conj(m[j,i])|, over every matrix of a stack."""
+    """max_ij |m[i,j] - conj(m[j,i])|, over every matrix of a stack; inf if an
+    entry is not finite."""
+    if not np.isfinite(m).all():
+        return np.inf
     return float(np.abs(m - np.swapaxes(m.conj(), -1, -2)).max(initial=0.0))
 
 
@@ -65,8 +69,8 @@ def eig_hermitian(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix or stack."""
     m = require_square(m, (2, 4), "eig_hermitian", stack=True)
     defect = hermiticity_defect(m)
-    if defect > HERMITIAN_TOL:
-        raise ContractViolation(f"eig_hermitian: not Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})")
+    if not defect <= HERMITIAN_TOL:
+        raise ContractViolation(f"eig_hermitian: not finite and Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})")
     return np.linalg.eigh(m)
 
 
@@ -95,8 +99,13 @@ def bra_cost_ket(x, c):
     must be real for Hermitian c."""
     v = vec(x)
     c = require_square(c, (4,), "bra_cost_ket: cost")
-    vals = np.einsum("...i,ij,...j->...", v.conj(), c, v)
+    return real_part(np.einsum("...i,ij,...j->...", v.conj(), c, v), "bra_cost_ket")
+
+
+def real_part(vals, what: str):
+    """The real part of a complex value (a float) or array (an array); the
+    imaginary parts must be roundoff."""
     imag = float(np.abs(vals.imag).max(initial=0.0))
-    if imag > 1e-8:
-        raise InternalConsistencyError(f"bra_cost_ket: imaginary part {imag:.3e}")
+    if not imag <= IMAG_TOL:
+        raise InternalConsistencyError(f"{what}: imaginary part {imag:.3e}")
     return float(vals.real) if vals.ndim == 0 else vals.real

@@ -20,7 +20,8 @@ Closed paths (exact, no iteration):
 * if either marginal is pure, the feasible set is the singleton product
   coupling omega (x) rho^T;
 * if rho == omega, the rank-one coupling built from vec(sqrt(rho)) is optimal
-  for any generator-built cost, which the solver cross-validates in tests.
+  for any generator-built cost, which every `CostOperator` is; the solver
+  cross-validates it in tests.
   Its value is `self_distance_sq`, which the identical lanes of a solve and
   both self-distances of a divergence take on whole stacks of states.
 
@@ -44,6 +45,7 @@ from .linalg import (
     bra_cost_ket,
     partial_trace_first,
     partial_trace_second,
+    real_part,
     sqrt_psd,
     tensor,
     transpose_op,
@@ -133,8 +135,8 @@ class SolverConfig:
     fast_paths: bool = True      # use exact closed forms when the optimizer is known
 
     def __post_init__(self):
-        if not (self.tolerance > 0.0):
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise DomainError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -177,11 +179,7 @@ def coupling_cost(pi, c):
     """tr[Pi C], or an array of them for a stack of matrices; the imaginary
     parts must be roundoff."""
     m = pi.matrix if isinstance(pi, Coupling) else np.asarray(pi, dtype=complex)
-    vals = np.einsum("...ij,ji->...", m, cost_matrix(c))
-    imag = float(np.abs(vals.imag).max(initial=0.0))
-    if imag > 1e-8:
-        raise InternalConsistencyError(f"coupling_cost: imaginary part {imag:.3e}")
-    return float(vals.real) if vals.ndim == 0 else vals.real
+    return real_part(np.einsum("...ij,ji->...", m, cost_matrix(c)), "coupling_cost")
 
 
 def _affine_parts(rhos, omegas):
@@ -477,14 +475,15 @@ def _solve_barrier(rhos, omegas, cmat, prod_val, cfg: SolverConfig):
     return best, wins, pi, np.maximum(best - lower, 0.0), steps
 
 
-def _solve(rhos, omegas, cmat, cfg: SolverConfig):
-    """`solve_min_couplings` on validated (N, 2, 2) stacks and a cost matrix;
-    also returns the mask of pairs taken as identical states."""
+def _solve(rhos, omegas, c, cfg: SolverConfig):
+    """`solve_min_couplings` on validated (N, 2, 2) stacks; also returns the
+    mask of pairs taken as identical states."""
+    cmat = cost_matrix(c)
     rho_ts = np.ascontiguousarray(rhos.transpose(0, 2, 1))
     n = len(rhos)
 
     mats = np.einsum("nij,nkl->nikjl", omegas, rho_ts).reshape(n, 4, 4)  # product couplings
-    prod_val = coupling_cost(mats, cmat)
+    prod_val = coupling_cost(mats, c)
     value = prod_val.copy()
     gap = np.zeros(n)
     iters = np.zeros(n, dtype=int)
@@ -493,7 +492,7 @@ def _solve(rhos, omegas, cmat, cfg: SolverConfig):
     if identical.any():
         roots = vec(sqrt_psd(rhos[identical]))
         mats[identical] = roots[:, :, None] * roots[:, None, :].conj()
-        value[identical] = _self_distance_sq(rhos[identical], cmat)
+        value[identical] = _self_distance_sq(rhos[identical], c)
 
     lanes = np.flatnonzero(~identical & ~pure)
     for start in range(0, lanes.size, _MAX_LANES):
@@ -530,7 +529,7 @@ def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> 
     iterate in another grouping; its gap still bounds that iterate.
     """
     cfg = config if config is not None else SolverConfig()
-    return _solve(*_state_stacks(rhos, omegas), cost_matrix(c), cfg)[0]
+    return _solve(*_state_stacks(rhos, omegas), c, cfg)[0]
 
 
 def solve_min_coupling(rho, omega, c, config: SolverConfig | None = None) -> TransportResult:
@@ -544,15 +543,15 @@ def solve_min_coupling(rho, omega, c, config: SolverConfig | None = None) -> Tra
     return solve_min_couplings([rho], [omega], c, config)[0]
 
 
-def _self_distance_sq(rho, cmat):
-    """`self_distance_sq` of a validated state or stack and a cost matrix."""
-    return np.maximum(bra_cost_ket(sqrt_psd(rho), cmat), 0.0)
+def _self_distance_sq(rho, c):
+    """`self_distance_sq` of a validated state or stack."""
+    return np.maximum(bra_cost_ket(sqrt_psd(rho), cost_matrix(c)), 0.0)
 
 
 def self_distance_sq(rho, c):
     """Squared self-distance via the rank-one coupling of vec(sqrt(rho)); a
     stack of states gives an array."""
-    return _self_distance_sq(validate_state(rho, "rho"), cost_matrix(c))
+    return _self_distance_sq(validate_state(rho, "rho"), c)
 
 
 def wasserstein_distance(rho, omega, c, config: SolverConfig | None = None) -> float:
@@ -569,9 +568,8 @@ def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -
     batched transport solve and one self-distance call per side."""
     cfg = config if config is not None else SolverConfig()
     rhos, omegas = _state_stacks(rhos, omegas)
-    cmat = cost_matrix(c)
-    results, identical = _solve(rhos, omegas, cmat, cfg)
-    s1, s2 = _self_distance_sq(rhos, cmat), _self_distance_sq(omegas, cmat)
+    results, identical = _solve(rhos, omegas, c, cfg)
+    s1, s2 = _self_distance_sq(rhos, c), _self_distance_sq(omegas, c)
     # Identical states take s1 as their distance and as s2, so that the
     # radicand cancels to exactly zero.
     dist = np.where(identical, s1, [r.optimal_value for r in results])

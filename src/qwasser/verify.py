@@ -46,14 +46,6 @@ from .transport import (
     z_self_distance_sq_published,
 )
 
-SUITE_NAMES = (
-    "sym-closed-forms",
-    "z-closed-forms",
-    "dsym-isometries",
-    "dz-theorem",
-    "divergence-triangle",
-)
-
 
 @dataclass
 class CheckResult:
@@ -368,6 +360,7 @@ _SUITE_FNS = {
     "dz-theorem": suite_dz_theorem,
     "divergence-triangle": suite_divergence_triangle,
 }
+SUITE_NAMES = tuple(_SUITE_FNS)
 
 
 def run_suite(name: str, samples: int | None = None, seed: int = 0, tolerance: float | None = None) -> SuiteResult:

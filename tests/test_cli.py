@@ -262,6 +262,19 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, ["distance", "--cost", "custom", "plus_z", "minus_z"])
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["distance", "divergence"])
+    def test_non_finite_generator_exit_2(self, command, bad):
+        gens = f"[[[[{bad},0],[0,0]],[[0,0],[1,0]]]]"
+        argv = [sys.executable, "-W", "error", "-m", "qwasser.cli", command, "--cost", "custom",
+                "--generators", gens, "plus_z", "bloch:0,0.2,0.1"]
+        src = str(Path(qwasser.__file__).resolve().parents[1])
+        proc = subprocess.run(argv, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                              timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: generator 0") and proc.stderr.count("\n") == 1
+
 
 def test_cli_import_leaves_oracle_and_scipy_optimize_unloaded():
     code = (

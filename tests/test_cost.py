@@ -57,6 +57,14 @@ class TestBuildCost:
         with pytest.raises(DomainError):
             build_cost([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_generator(self, bad, entry):
+        g = np.array(PAULI[1])
+        g[entry] = g[entry[::-1]] = bad
+        with pytest.raises(DomainError, match="generator 1 is not finite and Hermitian"):
+            build_cost([PAULI[3], g])
+
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             build_cost([])
@@ -81,6 +89,19 @@ class TestConjugateGenerators:
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError):
             conjugate_generators([PAULI[3]], np.diag([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "gens,u",
+        [
+            ([PAULI[3]], np.diag([1.0, np.nan])),
+            ([PAULI[3]], np.diag([np.inf, 1.0])),
+            ([np.diag([np.nan, 1.0])], np.eye(2)),
+        ],
+        ids=["nan-unitary", "inf-unitary", "nan-generator"],
+    )
+    def test_rejects_non_finite_input(self, gens, u):
+        with pytest.raises(DomainError):
+            conjugate_generators(gens, u)
 
     def test_rotated_basis_invariance(self):
         rng = np.random.default_rng(2)

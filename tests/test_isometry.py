@@ -49,6 +49,13 @@ def rot_x(theta):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def axis_rotation(axis, theta):
+    """Rodrigues' formula: rotation by theta about the direction of axis."""
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * k @ k
+
+
 class TestApply:
     def test_sx_flips_poles(self):
         m = unitary_conj_map(PAULI[1], "sx")
@@ -164,9 +171,12 @@ class TestRotationToUnitary:
 
     def test_bloch_action_faithful(self):
         rng = np.random.default_rng(0)
+        rotations = [random_rotation(rng) for _ in range(100)]
+        # turns by pi and just below it about a generic axis, and the three axis half-turns
+        rotations += [axis_rotation((0.3, -0.5, 0.8), math.pi - eps) for eps in (0.0, 1e-8, 1e-12)]
+        rotations += [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
         worst = 0.0
-        for _ in range(100):
-            o = random_rotation(rng)
+        for o in rotations:
             u = rotation_to_unitary(o)
             for _ in range(5):
                 b = random_bloch_in_ball(rng)
@@ -182,6 +192,25 @@ class TestRotationToUnitary:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(DomainError):
             rotation_to_unitary(np.eye(3) * 1.1)
+
+
+# Map constructors and the size of the matrix each checks.
+MATRIX_CHECKS = {
+    "unitary_conj_map": (unitary_conj_map, 2),
+    "antiunitary_conj_map": (antiunitary_conj_map, 2),
+    "orthogonal_bloch_map": (orthogonal_bloch_map, 3),
+    "rotation_to_unitary": (rotation_to_unitary, 3),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(MATRIX_CHECKS))
+def test_non_finite_matrix_is_rejected(name, bad):
+    build, dim = MATRIX_CHECKS[name]
+    m = np.eye(dim)
+    m[-1, -1] = bad
+    with pytest.raises(DomainError):
+        build(m)
 
 
 class TestDzCondition:

@@ -129,6 +129,19 @@ class TestEigHermitian:
         with pytest.raises(ContractViolation):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+            np.stack([I4, np.diag([1.0, 0.0, np.nan, 0.0])]),
+        ],
+        ids=["nan", "inf", "nan-in-stack"],
+    )
+    def test_rejects_non_finite_input(self, m):
+        with pytest.raises(ContractViolation):
+            eig_hermitian(m)
+
 
 class TestSqrtPsd:
     def test_maximally_mixed(self):

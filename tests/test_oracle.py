@@ -137,6 +137,15 @@ class TestContract:
             with pytest.raises(ContractViolation, match="n_starts"):
                 oracle_min_coupling(rho, rho, C_Z, n_starts=n)
 
+    def test_rejects_a_raw_matrix_cost(self):
+        from qwasser.errors import DomainError
+
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = state_from_bloch([0.3, -0.2, 0.4])
+        with pytest.raises(DomainError, match="CostOperator"):
+            oracle_min_coupling(rho, rho, a @ a.conj().T)
+
     def test_oracle_does_not_import_the_solver(self):
         # the cross-check means something only while the oracle shares no code with the solver
         import ast

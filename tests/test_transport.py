@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qwasser.cost import sym_cost, z_cost
+from qwasser.cost import build_cost, sym_cost, z_cost
 from qwasser.errors import DomainError, InternalConsistencyError
 from qwasser.linalg import bra_cost_ket, sqrt_psd, tensor, transpose_op
 from qwasser.sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
@@ -32,6 +32,29 @@ from qwasser.transport import (
 C_SYM = sym_cost()
 C_Z = z_cost()
 FORCED = SolverConfig(fast_paths=False)
+
+
+def raw_psd_cost():
+    """A 4x4 PSD matrix that no generator set builds; for rho = (0.3, -0.2, 0.4)
+    the identical-state closed form would claim 2.1116 with gap 0, while the
+    forced barrier certifies 1.8789."""
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return a @ a.conj().T
+
+
+RAW_PAIR_STATE = state_from_bloch((0.3, -0.2, 0.4))
+# Every public entry point that takes a cost, on the identical pair above.
+COST_ENTRY_POINTS = {
+    "solve_min_coupling": lambda c: solve_min_coupling(RAW_PAIR_STATE, RAW_PAIR_STATE, c),
+    "solve_min_couplings": lambda c: solve_min_couplings([RAW_PAIR_STATE], [RAW_PAIR_STATE], c),
+    "divergence_breakdown": lambda c: divergence_breakdown(RAW_PAIR_STATE, RAW_PAIR_STATE, c),
+    "divergence_breakdowns": lambda c: divergence_breakdowns([RAW_PAIR_STATE], [RAW_PAIR_STATE], c),
+    "wasserstein_distance": lambda c: wasserstein_distance(RAW_PAIR_STATE, RAW_PAIR_STATE, c),
+    "wasserstein_divergence": lambda c: wasserstein_divergence(RAW_PAIR_STATE, RAW_PAIR_STATE, c),
+    "self_distance_sq": lambda c: self_distance_sq(RAW_PAIR_STATE, c),
+    "coupling_cost": lambda c: coupling_cost(purification_coupling(RAW_PAIR_STATE), c),
+}
 
 
 class TestProductCoupling:
@@ -77,7 +100,13 @@ class TestCouplingCost:
 
     def test_rejects_large_imaginary_part(self):
         with pytest.raises(InternalConsistencyError):
-            coupling_cost(np.eye(4) / 4, 1j * np.eye(4))
+            coupling_cost(1j * np.eye(4) / 4, C_SYM)
+
+    @pytest.mark.parametrize("entry_point", sorted(COST_ENTRY_POINTS))
+    def test_raw_matrix_cost_is_rejected(self, entry_point):
+        # only build_cost makes a cost, so the identical-state closed form is exact for every cost
+        with pytest.raises(DomainError, match="CostOperator"):
+            COST_ENTRY_POINTS[entry_point](raw_psd_cost())
 
     def test_coupling_cost_of_a_stack(self):
         rng = np.random.default_rng(4)
@@ -148,10 +177,12 @@ class TestSolver:
             assert res.optimal_value == pytest.approx(2.0 * abs(t - u), abs=1e-6)
 
     def test_self_distance_consistency_forced(self):
+        # the identical-state closed form is exact for every generator-built cost
         rng = np.random.default_rng(8)
         for _ in range(25):
             rho = state_from_bloch(random_bloch_in_ball(rng))
-            for c in (C_SYM, C_Z):
+            gens = [g + g.conj().T for g in rng.normal(size=(rng.integers(1, 4), 2, 2, 2)) @ [1.0, 1j]]
+            for c in (C_SYM, C_Z, build_cost(gens)):
                 res = solve_min_coupling(rho, rho, c, FORCED)
                 assert res.solver_status == "converged"
                 assert res.optimal_value == pytest.approx(self_distance_sq(rho, c), abs=1e-6)
@@ -229,6 +260,12 @@ class TestSolver:
             SolverConfig(tolerance=0.0)
         with pytest.raises(DomainError):
             SolverConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_config_rejects_non_finite_tolerance(self, tolerance):
+        # an infinite target would call any gap "converged"
+        with pytest.raises(DomainError):
+            SolverConfig(tolerance=tolerance)
 
 
 class TestSelfDistance:
