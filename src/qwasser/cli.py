@@ -243,18 +243,7 @@ def _cmd_verify(args) -> int:
             {
                 "suite": result.suite,
                 "passed": result.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "samples": c.samples,
-                        "max_deviation": c.max_deviation,
-                        "tolerance": c.tolerance,
-                        "passed": c.passed,
-                        "witnesses": c.witnesses,
-                        "notes": c.notes,
-                    }
-                    for c in result.checks
-                ],
+                "checks": [dataclasses.asdict(c) for c in result.checks],
             }
         ],
         wall,

@@ -77,9 +77,13 @@ def bloch_self_map(fn: Callable, label: str = "") -> StateMap:
 
 def _orthogonal(o, what: str) -> np.ndarray:
     """o as a real orthogonal 3x3 matrix."""
-    o = np.asarray(o, dtype=float)
+    o = np.asarray(o, dtype=complex)
     if o.shape != (3, 3):
         raise DomainError(f"{what}: expected 3x3, got {o.shape}")
+    imag = float(np.abs(o.imag).max())
+    if not imag <= UNITARY_TOL:
+        raise DomainError(f"{what}: matrix is not real (imaginary part {imag:.3e})")
+    o = o.real.copy()
     defect = unitarity_defect(o)
     if not defect <= UNITARY_TOL:
         raise DomainError(f"{what}: matrix is not orthogonal (defect {defect:.3e})")
@@ -251,35 +255,31 @@ def _dz_condition_samples(rng: np.random.Generator, n: int) -> np.ndarray:
 def dz_condition_report(
     state_map: StateMap, n_samples: int = 40, tol: float = 1e-5, seed: int = 0
 ):
-    """Detailed version of `satisfies_dz_condition`: (holds, details dict)."""
+    """Detailed version of `satisfies_dz_condition`: (holds, details dict).
+
+    The condition holds iff |b| is kept and one global sign s, tried +1 first,
+    gives |b3' - s b3| <= tol on every sampled row.  A failure names the
+    sign that fits best and its worst row as a witness."""
     states = _dz_condition_samples(derived_rng(seed, 1), max(n_samples, 9))
     b = bloch_from_state(states)
     b_img = bloch_from_state(apply_state_map(state_map, states))
 
     max_len_dev = float(np.abs(np.linalg.norm(b_img, axis=1) - np.linalg.norm(b, axis=1)).max())
-    if max_len_dev > tol:
+    if not max_len_dev <= tol:
         return False, {"reason": "bloch-length-changed", "max_length_deviation": max_len_dev}
-
-    # rows too close to the equator carry no sign information
-    signed = np.abs(b[:, 2]) > 10.0 * tol
-    plus_ok = np.abs(b_img[:, 2] - b[:, 2]) <= tol
-    minus_ok = np.abs(b_img[:, 2] + b[:, 2]) <= tol
-    neither = np.flatnonzero(signed & ~plus_ok & ~minus_ok)
-    if neither.size:
-        i = neither[0]
-        return False, {
-            "reason": "third-coordinate-not-signed-copy",
-            "witness_bloch": tuple(b[i]),
-            "image_bloch": tuple(b_img[i]),
-        }
-    votes = {sign for sign, ok in ((+1, plus_ok & ~minus_ok), (-1, minus_ok & ~plus_ok)) if (signed & ok).any()}
-    if len(votes) > 1:
-        return False, {"reason": "mixed-signs"}
-    candidates = votes or {+1, -1}
-    for sign in candidates:
-        if (np.abs(b_img[:, 2] - sign * b[:, 2]) <= tol).all():
-            return True, {"sign": sign, "max_length_deviation": max_len_dev}
-    return False, {"reason": "no-global-sign", "candidates": sorted(candidates)}
+    devs = np.abs(b_img[:, 2] - np.array([[1.0], [-1.0]]) * b[:, 2])  # row k: sign (+1, -1)[k]
+    worst = devs.max(axis=1)
+    k = 0 if worst[0] <= tol else int(np.argmin(worst))
+    if worst[k] <= tol:
+        return True, {"sign": (1, -1)[k], "max_length_deviation": max_len_dev}
+    i = int(np.argmax(devs[k]))
+    return False, {
+        "reason": "no-global-sign",
+        "sign": (1, -1)[k],
+        "max_b3_deviation": float(worst[k]),
+        "witness_bloch": tuple(b[i]),
+        "image_bloch": tuple(b_img[i]),
+    }
 
 
 def satisfies_dz_condition(

@@ -1,7 +1,9 @@
 """Verification suites: closed forms, isometry families, and metric sampling.
 
 Each suite draws seeded samples, measures deviations against the transport
-solver, and returns a structured result the CLI can serialize.  Per-sample
+solver, and returns its checks; `run_suite` fills in the suite's default
+samples and tolerance, checks the arguments, and builds the `SuiteResult` the
+CLI serializes.  Per-sample
 random streams are derived from (seed, counter).  A suite draws its pairs
 first and solves them together in batched calls (`solve_min_couplings`,
 `divergence_breakdowns`, `check_isometries`), whose certified per-pair results
@@ -15,6 +17,7 @@ self-distance value from `self_distance_table`, with one batched solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +44,7 @@ from .transport import (
     solve_min_coupling,
     solve_min_couplings,
     sym_self_distance_sq_closed,
-    sym_self_distance_sq_published,
     z_self_distance_sq_closed,
-    z_self_distance_sq_published,
 )
 
 
@@ -105,11 +106,13 @@ def _ball_blochs(seed: int, first: int, samples: int) -> np.ndarray:
     return np.array([random_bloch_in_ball(derived_rng(seed, first + i)) for i in range(samples)]).reshape(-1, 3)
 
 
-# Per cost: closed form, published form, and the published form's share of the optimum.
+# Per cost: the cost, the closed form as a function of (|b|, b3) and its
+# formula, the published formula, and the published form's share of the optimum.
 _SELF_FORMS = {
-    "sym": ("4(1-sqrt(1-|b|^2))", "2(1-sqrt(1-|b|^2))", "half", SYM_PUBLISHED_SCALE),
-    "z": ("2(1-sqrt(1-|b|^2))(1-b3^2/|b|^2)", "(1/2)(1-sqrt(1-|b|^2))(1-b3^2/|b|^2)", "a quarter of",
-          Z_PUBLISHED_SCALE),
+    "sym": (sym_cost, lambda r, b3: sym_self_distance_sq_closed(r), "4(1-sqrt(1-|b|^2))",
+            "2(1-sqrt(1-|b|^2))", "half", SYM_PUBLISHED_SCALE),
+    "z": (z_cost, z_self_distance_sq_closed, "2(1-sqrt(1-|b|^2))(1-b3^2/|b|^2)",
+          "(1/2)(1-sqrt(1-|b|^2))(1-b3^2/|b|^2)", "a quarter of", Z_PUBLISHED_SCALE),
 }
 
 
@@ -129,16 +132,13 @@ def self_distance_table(blochs, cost: str, norms=None) -> dict:
     blochs = np.asarray(blochs, dtype=float).reshape(-1, 3)
     norms = np.linalg.norm(blochs, axis=1) if norms is None else np.asarray(norms, dtype=float)
     rhos = state_from_bloch(blochs)
-    if cost == "sym":
-        c, args = sym_cost(), [(r,) for r in norms]
-        closed, published = sym_self_distance_sq_closed, sym_self_distance_sq_published
-    else:
-        c, args = z_cost(), list(zip(norms, blochs[:, 2]))
-        closed, published = z_self_distance_sq_closed, z_self_distance_sq_published
+    make_cost, closed_sq, *_, scale = _SELF_FORMS[cost]
+    c = make_cost()
+    closed = np.array([closed_sq(r, b3) for r, b3 in zip(norms, blochs[:, 2])])
     return {
         "selfdist_sq_purification": self_distance_sq(rhos, c),
-        "selfdist_sq_closed_form": np.array([closed(*a) for a in args]),
-        "selfdist_sq_published_form": np.array([published(*a) for a in args]),
+        "selfdist_sq_closed_form": closed,
+        "selfdist_sq_published_form": scale * closed,
         "selfdist_sq_sdp": _values(solve_min_couplings(rhos, rhos, c, _FORCED)),
     }
 
@@ -146,7 +146,7 @@ def self_distance_table(blochs, cost: str, norms=None) -> dict:
 def _self_distance_checks(cost: str, samples: int, seed: int, tolerance: float) -> list:
     """A closed-form suite's two self-distance checks on ball samples: solve,
     coupling and closed form agree, and the published form is off by its scale."""
-    closed_form, published_form, share, scale = _SELF_FORMS[cost]
+    _, _, closed_form, published_form, share, scale = _SELF_FORMS[cost]
     table = self_distance_table(_ball_blochs(seed, 20_000, samples), cost)
     sdp, pur = table["selfdist_sq_sdp"], table["selfdist_sq_purification"]
     closed = table["selfdist_sq_closed_form"]
@@ -161,7 +161,7 @@ def _self_distance_checks(cost: str, samples: int, seed: int, tolerance: float) 
     ]
 
 
-def suite_sym_closed_forms(samples: int = 500, seed: int = 0, tolerance: float = 1e-6) -> SuiteResult:
+def _sym_closed_forms(samples: int, seed: int, tolerance: float) -> list:
     """Pure-pair cost law, divergence-Euclidean law, and self-distance forms
     for the all-Pauli cost."""
     c = sym_cost()
@@ -179,21 +179,15 @@ def suite_sym_closed_forms(samples: int = 500, seed: int = 0, tolerance: float =
     products = np.einsum("nij,nlk->nikjl", pure, pure).reshape(-1, 4, 4)  # rho (x) rho^T
     self_pure_devs = np.abs(coupling_cost(products, c) - 4.0)
 
-    return SuiteResult(
-        suite="sym-closed-forms",
-        samples=samples,
-        seed=seed,
-        tolerance=tolerance,
-        checks=[
-            _check("pure-pair-cost-6-minus-2-dot", cost_devs, tolerance),
-            _check("pure-pair-divergence-euclidean", div_devs, tolerance),
-            _check("pure-self-product-cost-4", self_pure_devs, tolerance),
-            *_self_distance_checks("sym", samples, seed, tolerance),
-        ],
-    )
+    return [
+        _check("pure-pair-cost-6-minus-2-dot", cost_devs, tolerance),
+        _check("pure-pair-divergence-euclidean", div_devs, tolerance),
+        _check("pure-self-product-cost-4", self_pure_devs, tolerance),
+        *_self_distance_checks("sym", samples, seed, tolerance),
+    ]
 
 
-def suite_z_closed_forms(samples: int = 500, seed: int = 0, tolerance: float = 1e-6) -> SuiteResult:
+def _z_closed_forms(samples: int, seed: int, tolerance: float) -> list:
     """Pure-pair law, diagonal-pair law, pole diameter, and self-distance forms
     for the single-sigma_z cost."""
     c = z_cost()
@@ -212,21 +206,15 @@ def suite_z_closed_forms(samples: int = 500, seed: int = 0, tolerance: float = 1
         state_from_bloch((0.0, 0.0, 1.0)), state_from_bloch((0.0, 0.0, -1.0)), c
     ).optimal_value
 
-    return SuiteResult(
-        suite="z-closed-forms",
-        samples=samples,
-        seed=seed,
-        tolerance=tolerance,
-        checks=[
-            _check("pure-pair-cost-2-minus-2-zw", pair_devs, tolerance),
-            _check("diagonal-pair-classical-cost", diag_devs, tolerance),
-            _check("pole-pair-squared-diameter-4", [abs(poles - 4.0)], tolerance),
-            *_self_distance_checks("z", samples, seed, tolerance),
-        ],
-    )
+    return [
+        _check("pure-pair-cost-2-minus-2-zw", pair_devs, tolerance),
+        _check("diagonal-pair-classical-cost", diag_devs, tolerance),
+        _check("pole-pair-squared-diameter-4", [abs(poles - 4.0)], tolerance),
+        *_self_distance_checks("z", samples, seed, tolerance),
+    ]
 
 
-def suite_dsym_isometries(samples: int = 50, seed: int = 0, tolerance: float = 1e-6) -> SuiteResult:
+def _dsym_isometries(samples: int, seed: int, tolerance: float) -> list:
     """Unitary and antiunitary conjugations preserve both the distance and the
     divergence of the all-Pauli cost; non-rigid maps are caught with witnesses."""
     wigner = [sample_wigner_map(derived_rng(seed, i)) for i in range(samples)]
@@ -253,36 +241,28 @@ def suite_dsym_isometries(samples: int = 50, seed: int = 0, tolerance: float = 1
                 "deviation": float(dev),
             })
 
-    return SuiteResult(
-        suite="dsym-isometries",
-        samples=samples,
-        seed=seed,
-        tolerance=tolerance,
-        checks=[
-            _check("wigner-conjugations-preserve-distance-and-divergence", wigner_devs, tolerance),
-            CheckResult(
-                name="non-rigid-maps-detected-with-witness",
-                samples=n_adv,
-                max_deviation=float(len(missed)),
-                tolerance=0.0,
-                passed=not missed,
-                witnesses=witnesses,
-                notes="non-rigid maps must be flagged as violations",
-            ),
-        ],
-    )
+    return [
+        _check("wigner-conjugations-preserve-distance-and-divergence", wigner_devs, tolerance),
+        CheckResult(
+            name="non-rigid-maps-detected-with-witness",
+            samples=n_adv,
+            max_deviation=float(len(missed)),
+            tolerance=0.0,
+            passed=not missed,
+            witnesses=witnesses,
+            notes="non-rigid maps must be flagged as violations",
+        ),
+    ]
 
 
-def suite_dz_theorem(samples: int = 50, seed: int = 0, tolerance: float = 1e-5) -> SuiteResult:
+def _dz_theorem(samples: int, seed: int, tolerance: float) -> list:
     """Metric-level and Bloch-level characterizations of sigma_z-cost isometries
     agree on every sampled map family."""
     checks = []
     for name, sampler in MAP_FAMILIES.items():
         report = theorem_crosscheck_dz(sampler, n_maps=samples, n_samples=10, tol=tolerance, seed=seed)
-        witnesses = []
-        for r in report.disagreements:
-            witnesses.append({"map": r.map_id, "isometry": r.isometry_verdict,
-                              "condition": r.condition_holds})
+        witnesses = [{"map": r.map_id, "isometry": r.isometry_verdict, "condition": r.condition_holds}
+                     for r in report.disagreements]
         extra_ok = True
         notes = ""
         if name == "adversarial":
@@ -303,12 +283,10 @@ def suite_dz_theorem(samples: int = 50, seed: int = 0, tolerance: float = 1e-5) 
                 notes=notes,
             )
         )
-    return SuiteResult(
-        suite="dz-theorem", samples=samples, seed=seed, tolerance=tolerance, checks=checks
-    )
+    return checks
 
 
-def suite_divergence_triangle(samples: int = 200, seed: int = 0, tolerance: float = 1e-6) -> SuiteResult:
+def _divergence_triangle(samples: int, seed: int, tolerance: float) -> list:
     """Sampled triangle inequality for the all-Pauli divergence.
 
     A violation beyond tolerance indicates a solver accuracy bug and is
@@ -336,39 +314,35 @@ def suite_divergence_triangle(samples: int = 200, seed: int = 0, tolerance: floa
             })
     min_radicand = min((br.radicand for br in breakdowns), default=np.inf)
 
-    return SuiteResult(
-        suite="divergence-triangle",
-        samples=samples,
-        seed=seed,
-        tolerance=tolerance,
-        checks=[
-            _check(
-                "triangle-inequality-excess",
-                excesses,
-                tolerance,
-                witnesses=witnesses,
-                notes=f"min radicand before clamping {min_radicand:.3e}",
-            ),
-        ],
-    )
+    return [_check("triangle-inequality-excess", excesses, tolerance, witnesses=witnesses,
+                   notes=f"min radicand before clamping {min_radicand:.3e}")]
 
 
-_SUITE_FNS = {
-    "sym-closed-forms": suite_sym_closed_forms,
-    "z-closed-forms": suite_z_closed_forms,
-    "dsym-isometries": suite_dsym_isometries,
-    "dz-theorem": suite_dz_theorem,
-    "divergence-triangle": suite_divergence_triangle,
+# Per suite: its checks, default samples and default tolerance.
+_SUITES = {
+    "sym-closed-forms": (_sym_closed_forms, 500, 1e-6),
+    "z-closed-forms": (_z_closed_forms, 500, 1e-6),
+    "dsym-isometries": (_dsym_isometries, 50, 1e-6),
+    "dz-theorem": (_dz_theorem, 50, 1e-5),
+    "divergence-triangle": (_divergence_triangle, 200, 1e-6),
 }
-SUITE_NAMES = tuple(_SUITE_FNS)
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, samples: int | None = None, seed: int = 0, tolerance: float | None = None) -> SuiteResult:
-    if name not in _SUITE_FNS:
+    """Run suite `name`; `samples` and `tolerance` default per suite.
+
+    Raises DomainError for an unknown suite, samples < 1, a tolerance that is
+    not positive and finite, or a negative seed."""
+    if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    kwargs = {"seed": seed}
-    if samples is not None:
-        kwargs["samples"] = samples
-    if tolerance is not None:
-        kwargs["tolerance"] = tolerance
-    return _SUITE_FNS[name](**kwargs)
+    checks, default_samples, default_tolerance = _SUITES[name]
+    samples = default_samples if samples is None else samples
+    tolerance = default_tolerance if tolerance is None else tolerance
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+    if not 0.0 < tolerance < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return SuiteResult(name, samples, seed, tolerance, checks(samples, seed, tolerance))

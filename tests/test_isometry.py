@@ -1,6 +1,7 @@
 """Tests for state maps, the SU(2)/SO(3) bridge, and the isometry harness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,15 @@ def test_non_finite_matrix_is_rejected(name, bad):
         build(m)
 
 
+@pytest.mark.parametrize("build", [orthogonal_bloch_map, rotation_to_unitary])
+def test_complex_matrix_is_rejected_without_a_warning(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not real"):
+            build(np.eye(3) + 0.5j * np.ones((3, 3)))
+        build(np.eye(3).astype(complex))  # a zero imaginary part is fine
+
+
 class TestDzCondition:
     def test_sx_negates_sign(self):
         holds, detail = dz_condition_report(unitary_conj_map(PAULI[1], "sx"))
@@ -228,6 +238,17 @@ class TestDzCondition:
     def test_radial_shrink_fails_on_length(self):
         holds, detail = dz_condition_report(bloch_self_map(lambda b: 0.5 * b, "shrink"))
         assert not holds and detail["reason"] == "bloch-length-changed"
+
+    def test_b3_flipped_on_a_region_fails_with_a_witness(self):
+        tol = 1e-5
+        flip = bloch_self_map(lambda b: np.array([b[0], b[1], abs(b[2])]), "b3-absolute-value")
+        holds, detail = dz_condition_report(flip, tol=tol)
+        assert not holds and detail["reason"] == "no-global-sign"
+        b, image, sign = detail["witness_bloch"], detail["image_bloch"], detail["sign"]
+        assert abs(b[2]) > tol
+        assert abs(image[2] - sign * b[2]) > tol
+        assert np.sign(image[2]) == -sign * np.sign(b[2])
+        assert detail["max_b3_deviation"] == abs(image[2] - sign * b[2])
 
 
 class TestCheckIsometry:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,28 @@ def test_divergence_triangle_reports_min_radicand():
 def test_unknown_suite_rejected():
     with pytest.raises(DomainError):
         run_suite("nope")
+
+
+# Arguments run_suite rejects, as keywords and as `qwasser verify` flags.
+BAD_SUITE_ARGUMENTS = [
+    ({"samples": 0}, ["--samples", "0"]),
+    ({"samples": -3}, ["--samples", "-3"]),
+    ({"tolerance": 0.0}, ["--tolerance", "0"]),
+    ({"tolerance": -1e-6}, ["--tolerance=-1e-6"]),
+    ({"tolerance": math.inf}, ["--tolerance", "inf"]),
+    ({"tolerance": math.nan}, ["--tolerance", "nan"]),
+    ({"seed": -1}, ["--seed", "-1"]),
+]
+
+
+@pytest.mark.parametrize("kwargs,flags", BAD_SUITE_ARGUMENTS)
+def test_bad_suite_arguments_are_domain_errors(kwargs, flags, capsys):
+    with pytest.raises(DomainError):
+        run_suite("divergence-triangle", **kwargs)
+    assert main(["verify", "divergence-triangle", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_selfdist_table_rejects_unknown_cost():
