@@ -16,6 +16,7 @@ Exit codes: 0 success / converged, 1 failed verification checks,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -34,10 +35,28 @@ from .verify import SUITE_NAMES, run_suite, self_distance_table
 SCHEMA_VERSION = 1
 
 
-def _complex_entry(pair) -> complex:
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise DomainError(f"matrix entries must be [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+def _load_json(text: str, where: str):
+    """Parse JSON text.  Every number becomes a float, so `_numbers` checks for
+    one type, and a huge integer reads as inf (rejected later) without raising."""
+    try:
+        return json.loads(text, parse_int=float)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise DomainError(f"{where}: invalid JSON: {e}") from e
+
+
+def _numbers(obj, shape: tuple, message: str) -> np.ndarray:
+    """`obj`, read by `_load_json`, as a float array of `shape` (None: any
+    nonzero length); DomainError(message) unless it nests numbers that way."""
+
+    def fits(x, dims) -> bool:
+        if not dims:
+            return isinstance(x, float)
+        return (isinstance(x, list) and len(x) > 0 and dims[0] in (None, len(x))
+                and all(fits(v, dims[1:]) for v in x))
+
+    if not fits(obj, shape):
+        raise DomainError(message)
+    return np.array(obj)
 
 
 def _state_from_json(obj, where: str) -> np.ndarray:
@@ -49,27 +68,16 @@ def _state_from_json(obj, where: str) -> np.ndarray:
     if "named" in obj:
         return named_state(obj["named"])
     if "bloch" in obj:
-        b = obj["bloch"]
-        if not (isinstance(b, list) and len(b) == 3):
-            raise DomainError(f"{where}: 'bloch' must be a list of three reals")
-        return state_from_bloch([float(v) for v in b])
-    entries = obj["matrix"]
-    if not (isinstance(entries, list) and len(entries) == 4):
-        raise DomainError(f"{where}: 'matrix' must list 4 row-major [re, im] entries")
-    vals = [_complex_entry(e) for e in entries]
-    m = np.array([[vals[0], vals[1]], [vals[2], vals[3]]])
-    return validate_state(m, where)
+        return state_from_bloch(_numbers(obj["bloch"], (3,), f"{where}: 'bloch' must be a list of three reals"))
+    m = _numbers(obj["matrix"], (4, 2), f"{where}: 'matrix' must list 4 row-major [re, im] pairs of reals")
+    return validate_state(m.view(complex).reshape(2, 2), where)
 
 
 def parse_state_spec(spec: str, where: str, stdin_text: str | None = None) -> np.ndarray:
-    if spec == "-":
-        if stdin_text is None:
-            raise DomainError(f"{where}: '-' given but stdin is empty")
-        try:
-            obj = json.loads(stdin_text)
-        except json.JSONDecodeError as e:
-            raise DomainError(f"{where}: invalid JSON on stdin: {e}") from e
-        return _state_from_json(obj, where)
+    if spec == "-" and stdin_text is None:
+        raise DomainError(f"{where}: '-' given but stdin is empty")
+    if spec == "-" or spec.lstrip().startswith("{"):
+        return _state_from_json(_load_json(stdin_text if spec == "-" else spec, where), where)
     if spec in NAMED_BLOCH:
         return named_state(spec)
     if spec.startswith("bloch:"):
@@ -81,27 +89,10 @@ def parse_state_spec(spec: str, where: str, stdin_text: str | None = None) -> np
         except ValueError as e:
             raise DomainError(f"{where}: non-numeric bloch coordinate in {spec!r}") from e
         return state_from_bloch(b)
-    if spec.lstrip().startswith("{"):
-        try:
-            obj = json.loads(spec)
-        except json.JSONDecodeError as e:
-            raise DomainError(f"{where}: invalid inline JSON: {e}") from e
-        return _state_from_json(obj, where)
     raise DomainError(
         f"{where}: unrecognized state spec {spec!r}; use a named state "
         f"{sorted(NAMED_BLOCH)}, bloch:x,y,z, inline JSON, or '-'"
     )
-
-
-def _parse_state_pair(args) -> tuple:
-    stdin_text = None
-    if "-" in (args.state1, args.state2):
-        if args.state1 == "-" and args.state2 == "-":
-            raise DomainError("only one positional state may read from stdin")
-        stdin_text = sys.stdin.read()
-    rho = parse_state_spec(args.state1, "state1", stdin_text)
-    omega = parse_state_spec(args.state2, "state2", stdin_text)
-    return rho, omega
 
 
 def _resolve_cost(args) -> tuple[str, CostOperator]:
@@ -111,147 +102,120 @@ def _resolve_cost(args) -> tuple[str, CostOperator]:
         return "z", z_cost()
     if not args.generators:
         raise DomainError("--cost custom requires --generators JSON")
-    try:
-        spec = json.loads(args.generators)
-    except json.JSONDecodeError as e:
-        raise DomainError(f"--generators: invalid JSON: {e}") from e
-    if not isinstance(spec, list) or not spec:
-        raise DomainError("--generators must be a nonempty JSON list of 2x2 matrices")
-    gens = []
-    for k, g in enumerate(spec):
-        if not (isinstance(g, list) and len(g) == 2 and all(len(row) == 2 for row in g)):
-            raise DomainError(f"generator {k}: expected a 2x2 matrix of [re, im] pairs")
-        gens.append(np.array([[_complex_entry(e) for e in row] for row in g]))
-    return "custom", build_cost(gens)
+    gens = _numbers(_load_json(args.generators, "--generators"), (None, 2, 2, 2),
+                    "--generators must be a nonempty JSON list of 2x2 matrices of [re, im] pairs of reals")
+    return "custom", build_cost(gens.view(complex).reshape(-1, 2, 2))
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
+def _report(args, config: dict, lines: list, result: dict, wall: float) -> None:
+    """Print the text lines, or with --json the versioned report of `result`."""
+    if not args.json:
+        print("\n".join(lines))
+        return
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "config": config,
+        "results": [result],
+        "wall_time_s": round(wall, 6),
+    }
+    print(json.dumps(report, sort_keys=True))
+
+
+def _cmd_pair(args) -> int:
+    stdin_text = None
+    if "-" in (args.state1, args.state2):
+        if args.state1 == "-" and args.state2 == "-":
+            raise DomainError("only one positional state may read from stdin")
+        stdin_text = sys.stdin.read()
+    rho = parse_state_spec(args.state1, "state1", stdin_text)
+    omega = parse_state_spec(args.state2, "state2", stdin_text)
+    cost_name, cost = _resolve_cost(args)
+    cfg = SolverConfig(
         tolerance=args.tolerance,
         max_iterations=args.max_iterations,
         fast_paths=not args.no_fast_paths,
     )
-
-
-def _emit_report(args, command: str, config: dict, results: list, wall: float) -> None:
-    if getattr(args, "json", False):
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "config": config,
-            "results": results,
-            "wall_time_s": round(wall, 6),
-        }
-        print(json.dumps(report, sort_keys=True))
-
-
-def _cmd_distance(args) -> int:
-    rho, omega = _parse_state_pair(args)
-    cost_name, cost = _resolve_cost(args)
-    cfg = _solver_config(args)
+    distance = args.command == "distance"
     t0 = time.perf_counter()
-    res = solve_min_coupling(rho, omega, cost, cfg)
+    res = (solve_min_coupling if distance else divergence_breakdown)(rho, omega, cost, cfg)
     wall = time.perf_counter() - t0
-    d = math.sqrt(res.optimal_value)
-    if not args.json:
-        print(f"cost       = {cost_name}")
-        print(f"D^2        = {res.optimal_value:.12g}")
-        print(f"D          = {d:.12g}")
-        print(
+    if distance:
+        d = math.sqrt(res.optimal_value)
+        lines = [
+            f"cost       = {cost_name}",
+            f"D^2        = {res.optimal_value:.12g}",
+            f"D          = {d:.12g}",
             f"status     = {res.solver_status}  gap = {res.duality_gap_or_residual:.3g}"
-            f"  iterations = {res.iterations}"
-        )
-    _emit_report(
-        args,
-        "distance",
-        dataclasses.asdict(cfg),
-        [
-            {
-                "kind": "distance",
-                "cost": cost_name,
-                "value": d,
-                "value_sq": res.optimal_value,
-                "solver_status": res.solver_status,
-                "duality_gap_or_residual": res.duality_gap_or_residual,
-                "iterations": res.iterations,
-                "wall_time_s": round(wall, 6),
-            }
-        ],
-        wall,
-    )
+            f"  iterations = {res.iterations}",
+        ]
+        fields = {
+            "value": d,
+            "value_sq": res.optimal_value,
+            "duality_gap_or_residual": res.duality_gap_or_residual,
+            "iterations": res.iterations,
+        }
+    else:
+        lines = [
+            f"cost             = {cost_name}",
+            f"d                = {res.divergence:.12g}",
+            f"d^2 (clamped)    = {max(res.radicand, 0.0):.12g}",
+            f"radicand         = {res.radicand:.12g}",
+            f"D^2(rho, omega)  = {res.distance_sq:.12g}",
+            f"D^2(rho, rho)    = {res.self_distance_sq_first:.12g}",
+            f"D^2(omega,omega) = {res.self_distance_sq_second:.12g}",
+            f"status           = {res.solver_status}",
+        ]
+        fields = {
+            "value": res.divergence,
+            "radicand": res.radicand,
+            "distance_sq": res.distance_sq,
+            "self_distance_sq": [res.self_distance_sq_first, res.self_distance_sq_second],
+        }
+    result = {
+        "kind": args.command,
+        "cost": cost_name,
+        **fields,
+        "solver_status": res.solver_status,
+        "wall_time_s": round(wall, 6),
+    }
+    _report(args, dataclasses.asdict(cfg), lines, result, wall)
     return 0 if res.solver_status in ("closed_form", "converged") else 3
-
-
-def _cmd_divergence(args) -> int:
-    rho, omega = _parse_state_pair(args)
-    cost_name, cost = _resolve_cost(args)
-    cfg = _solver_config(args)
-    t0 = time.perf_counter()
-    br = divergence_breakdown(rho, omega, cost, cfg)
-    wall = time.perf_counter() - t0
-    if not args.json:
-        print(f"cost             = {cost_name}")
-        print(f"d                = {br.divergence:.12g}")
-        print(f"d^2 (clamped)    = {max(br.radicand, 0.0):.12g}")
-        print(f"radicand         = {br.radicand:.12g}")
-        print(f"D^2(rho, omega)  = {br.distance_sq:.12g}")
-        print(f"D^2(rho, rho)    = {br.self_distance_sq_first:.12g}")
-        print(f"D^2(omega,omega) = {br.self_distance_sq_second:.12g}")
-        print(f"status           = {br.solver_status}")
-    _emit_report(
-        args,
-        "divergence",
-        dataclasses.asdict(cfg),
-        [
-            {
-                "kind": "divergence",
-                "cost": cost_name,
-                "value": br.divergence,
-                "radicand": br.radicand,
-                "distance_sq": br.distance_sq,
-                "self_distance_sq": [br.self_distance_sq_first, br.self_distance_sq_second],
-                "solver_status": br.solver_status,
-                "wall_time_s": round(wall, 6),
-            }
-        ],
-        wall,
-    )
-    return 0 if br.solver_status in ("closed_form", "converged") else 3
 
 
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     result = run_suite(args.suite, samples=args.samples, seed=args.seed, tolerance=args.tolerance)
     wall = time.perf_counter() - t0
-    if not args.json:
-        for c in result.checks:
-            status = "PASS" if c.passed else "FAIL"
-            print(
-                f"[{status}] {c.name}: max deviation {c.max_deviation:.3e} "
-                f"(tol {c.tolerance:.1e}, {c.samples} samples)"
-            )
-            if c.notes:
-                print(f"       note: {c.notes}")
-            for w in c.witnesses[:5]:
-                print(f"       witness: {json.dumps(w, sort_keys=True)}")
-        print(f"suite {result.suite}: {'PASS' if result.passed else 'FAIL'} [{wall:.1f}s]")
-    _emit_report(
+    lines = []
+    for c in result.checks:
+        status = "PASS" if c.passed else "FAIL"
+        lines.append(
+            f"[{status}] {c.name}: max deviation {c.max_deviation:.3e} "
+            f"(tol {c.tolerance:.1e}, {c.samples} samples)"
+        )
+        if c.notes:
+            lines.append(f"       note: {c.notes}")
+        lines += [f"       witness: {json.dumps(w, sort_keys=True)}" for w in c.witnesses[:5]]
+    lines.append(f"suite {result.suite}: {'PASS' if result.passed else 'FAIL'} [{wall:.1f}s]")
+    _report(
         args,
-        "verify",
-        {"samples": args.samples, "seed": args.seed},
-        [
-            {
-                "suite": result.suite,
-                "passed": result.passed,
-                "checks": [dataclasses.asdict(c) for c in result.checks],
-            }
-        ],
+        {"samples": result.samples, "seed": result.seed, "tolerance": result.tolerance},
+        lines,
+        {
+            "suite": result.suite,
+            "passed": result.passed,
+            "checks": [dataclasses.asdict(c) for c in result.checks],
+        },
         wall,
     )
     return 0 if result.passed else 1
 
 
 def _cmd_selfdist_table(args) -> int:
+    for flag, steps in (("--norm-steps", args.norm_steps), ("--b3-steps", args.b3_steps)):
+        if steps < 0:
+            raise DomainError(f"{flag} must be >= 0, got {steps}")
     norms = np.repeat(np.linspace(0.0, 1.0, args.norm_steps), args.b3_steps)
     b3 = norms * np.tile(np.linspace(-1.0, 1.0, args.b3_steps), args.norm_steps)
     bx = np.sqrt(np.maximum(norms * norms - b3 * b3, 0.0))
@@ -266,15 +230,15 @@ def _cmd_selfdist_table(args) -> int:
         "abs_diff_closed_form_sdp": np.abs(table["selfdist_sq_closed_form"] - sdp),
         "abs_diff_published_sdp": np.abs(table["selfdist_sq_published_form"] - sdp),
     }
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
-        writer = csv.writer(out)
+        out = open(args.output, "w", newline="") if args.output else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        raise DomainError(f"--output: cannot write {args.output!r}: {e.strerror}") from e
+    with out as f:
+        writer = csv.writer(f)
         writer.writerow(["schema_version", *columns])
         for i in range(len(norms)):
             writer.writerow([SCHEMA_VERSION, *(f"{v[i]:.12g}" for v in columns.values())])
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
@@ -285,30 +249,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(p):
+    for name, help_text in (("distance", "transport distance between two states"),
+                            ("divergence", "self-distance-corrected divergence")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--cost", choices=("sym", "z", "custom"), default="sym")
+        p.add_argument("--generators", help="JSON list of 2x2 Hermitian matrices ([re,im] entries)")
         p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance, help="certified duality-gap target")
         p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
         p.add_argument("--no-fast-paths", action="store_true",
                        help="always run the interior-point solve when possible")
         p.add_argument("--json", action="store_true", help="emit a machine-readable report")
-
-    def add_cost_flags(p):
-        p.add_argument("--cost", choices=("sym", "z", "custom"), default="sym")
-        p.add_argument("--generators", help="JSON list of 2x2 Hermitian matrices ([re,im] entries)")
-
-    p_dist = sub.add_parser("distance", help="transport distance between two states")
-    add_cost_flags(p_dist)
-    add_solver_flags(p_dist)
-    p_dist.add_argument("state1")
-    p_dist.add_argument("state2")
-    p_dist.set_defaults(func=_cmd_distance)
-
-    p_div = sub.add_parser("divergence", help="self-distance-corrected divergence")
-    add_cost_flags(p_div)
-    add_solver_flags(p_div)
-    p_div.add_argument("state1")
-    p_div.add_argument("state2")
-    p_div.set_defaults(func=_cmd_divergence)
+        p.add_argument("state1")
+        p.add_argument("state2")
+        p.set_defaults(func=_cmd_pair)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=SUITE_NAMES)

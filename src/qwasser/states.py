@@ -100,6 +100,6 @@ def is_pure(rho, tol: float = PURITY_TOL):
 
 def named_state(name: str) -> np.ndarray:
     """One of the distinguished states: plus_z, minus_z, plus_x, plus_y, maximally_mixed."""
-    if name not in NAMED_BLOCH:
+    if not (isinstance(name, str) and name in NAMED_BLOCH):
         raise DomainError(f"unknown named state {name!r}; choose from {sorted(NAMED_BLOCH)}")
     return state_from_bloch(NAMED_BLOCH[name])

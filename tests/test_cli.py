@@ -22,6 +22,13 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_cli_process(argv):
+    """`python -W error -m qwasser.cli *argv` in a fresh interpreter."""
+    src = str(Path(qwasser.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-W", "error", "-m", "qwasser.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+
 class TestStateParsing:
     def test_named(self):
         rho = parse_state_spec("plus_z", "s")
@@ -163,6 +170,11 @@ class TestVerifyCommand:
         names = {c["name"] for c in rep["results"][0]["checks"]}
         assert "published-self-distance-formula-flagged" in names
 
+    def test_json_config_is_what_the_suite_ran(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "divergence-triangle", "--json"])
+        assert code == 0
+        assert json.loads(out)["config"] == {"samples": 200, "seed": 0, "tolerance": 1e-06}
+
 
 class TestSelfdistTable:
     def test_grid_values(self, capsys):
@@ -205,6 +217,21 @@ class TestSelfdistTable:
         assert out == ""
         rows = list(csv.DictReader(path.open()))
         assert rows and rows[0]["schema_version"] == "1"
+
+    def test_no_norm_steps_prints_the_header_only(self, capsys):
+        code, out, _ = run_cli(capsys, ["selfdist-table", "--norm-steps", "0"])
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("schema_version,bloch_norm,b3,")
+
+    @pytest.mark.parametrize("flags", [["--norm-steps", "-2"], ["--b3-steps", "-1"],
+                                       ["--output", "{tmp}/missing/table.csv"], ["--output", "{tmp}"]])
+    def test_bad_arguments_exit_2(self, capsys, tmp_path, flags):
+        argv = ["selfdist-table", *(f.format(tmp=tmp_path) for f in flags)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 
 class TestSolverErrors:
@@ -266,14 +293,26 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["distance", "divergence"])
     def test_non_finite_generator_exit_2(self, command, bad):
         gens = f"[[[[{bad},0],[0,0]],[[0,0],[1,0]]]]"
-        argv = [sys.executable, "-W", "error", "-m", "qwasser.cli", command, "--cost", "custom",
-                "--generators", gens, "plus_z", "bloch:0,0.2,0.1"]
-        src = str(Path(qwasser.__file__).resolve().parents[1])
-        proc = subprocess.run(argv, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-                              timeout=120)
+        proc = run_cli_process([command, "--cost", "custom", "--generators", gens, "plus_z", "bloch:0,0.2,0.1"])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: generator 0") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ['{"bloch": ["a", 0, 0]}', "plus_z"],
+        ['{"bloch": [null, 0, 0]}', "plus_z"],
+        ['{"bloch": [true, 0, 0]}', "plus_z"],
+        ['{"bloch": [1' + "0" * 5000 + ', 0, 0]}', "plus_z"],
+        ['{"matrix": [["a", 0], [0, 0], [0, 0], [0.5, 0]]}', "plus_z"],
+        ['{"named": ["plus_z"]}', "plus_z"],
+        ["--cost", "custom", "--generators", '[[[["x",0],[0,0]],[[0,0],[1,0]]]]', "plus_z", "plus_x"],
+        ["--cost", "custom", "--generators", "[[1,2]]", "plus_z", "plus_x"],
+        ["--cost", "custom", "--generators", "[" * 10000, "plus_z", "plus_x"],
+    ])
+    def test_malformed_json_input_exit_2(self, argv):
+        proc = run_cli_process(["distance", *argv])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_cli_import_leaves_oracle_and_scipy_optimize_unloaded():
