@@ -66,8 +66,8 @@ from .verify import SUITE_NAMES, SuiteResult, run_suite
 
 __version__ = "0.1.0"
 
-# The oracle pulls in scipy.optimize, which costs more than the rest of the
-# package together; load it on first access (PEP 562).
+# The oracle is a cross-check that no solve or CLI command uses, so importing
+# the package does not load it; it loads on first access (PEP 562).
 _LAZY_ORACLE = ("OracleResult", "oracle_min_coupling")
 
 

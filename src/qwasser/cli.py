@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 
@@ -242,8 +243,25 @@ def _cmd_selfdist_table(args) -> int:
     return 0
 
 
+# Every form of a negative float literal: -1, -1.5, -.5, -1e-6, -inf, -nan.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every negative float literal as a value.
+
+    argparse's own pattern misses the exponent form, so `--tolerance -1e-6`
+    would be read as an unknown option and never reach the domain checks.
+    Subparsers are built with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwasser",
         description="Quantum Wasserstein distances and divergences on the qubit state space.",
     )

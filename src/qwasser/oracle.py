@@ -3,11 +3,12 @@
 The coupling is parametrized directly by the 16 real coordinates x of a
 Hermitian 4x4 matrix.  A quadratic-penalty warmup is followed by an augmented
 Lagrangian with multipliers on both marginal constraints and on the PSD cone
-(L-BFGS inner solves with analytic gradients, several random restarts), which
-drives constraint violations to ~1e-12 with bounded penalty weights even when
-nearly pure marginals make the coupling set razor thin.  The best candidate is
-restored to exact feasibility by a short alternating-projection polish, so the
-reported value is the cost of an explicitly (near-machine) feasible coupling.
+(inner solves by `minimize`, a dense BFGS on x with analytic gradients;
+several random restarts), which drives constraint violations to ~1e-12 with
+bounded penalty weights even when nearly pure marginals make the coupling set
+razor thin.  The best candidate is restored to exact feasibility by a short
+alternating-projection polish, so the reported value is the cost of an
+explicitly (near-machine) feasible coupling.
 
 The objectives work on x itself: the cost is the linear form tr[C m] = c . x
 and both marginal residuals are one real 16x16 map, A x - b, built once at
@@ -19,10 +20,10 @@ matrix helpers; agreement between the two is a meaningful consistency check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cost import cost_matrix
 from .errors import ContractViolation
@@ -37,6 +38,11 @@ _PP9 = np.array([np.kron(PAULI[i], PAULI[j]) for i in (1, 2, 3) for j in (1, 2, 
 # project_to_couplings: its most rounds, and the smallest eigenvalue that ends them
 _POLISH_ROUNDS = 60
 _POLISH_EIG_FLOOR = -5e-13
+# minimize: the Armijo constant, its most step halvings, and the relative
+# decrease (f_old - f_new) / max(|f_old|, |f_new|, 1) that counts as a stall
+_ARMIJO = 1e-4
+_HALVINGS = 40
+_STALL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,62 @@ _A = np.array(
 def _psd_project(m):
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return (v * np.maximum(w, 0.0)) @ v.conj().T
+
+
+@dataclass(frozen=True)
+class Minimum:
+    x: np.ndarray
+    nfev: int  # calls of the objective
+    nit: int  # accepted steps
+
+
+def minimize(fun, x, args, maxiter: int, gtol: float) -> Minimum:
+    """Dense BFGS for a smooth objective fun(x, *args) -> (value, gradient).
+
+    The inverse Hessian H starts at the identity and is rescaled to
+    (s.y / y.y) I before the first update (Nocedal & Wright, Numerical
+    Optimization, 6.20); an update with s.y <= 1e-16 |s| |y| is skipped, and a
+    direction -H g that does not descend resets H to the identity.  Steps are
+    found by Armijo backtracking from 1, or from min(1, 1 / |g|_1) while H is
+    the identity.  Stops when max |g| <= gtol, after maxiter steps, when a
+    step's relative decrease is at most _STALL, or when no step decreases f.
+    """
+    f, g = fun(x, *args)
+    nfev, nit = 1, 0
+    n = x.size
+    h = np.eye(n)
+    fresh = True  # h is the identity, not yet scaled by a curvature estimate
+    while nit < maxiter and np.abs(g).max() > gtol:
+        p = -(h @ g)
+        slope = float(g @ p)
+        if not slope < 0.0:
+            h, fresh = np.eye(n), True
+            p, slope = -g, -float(g @ g)
+        t = min(1.0, 1.0 / np.abs(g).sum()) if fresh else 1.0
+        for _ in range(_HALVINGS + 1):
+            xn = x + t * p
+            fn, gn = fun(xn, *args)
+            nfev += 1
+            if fn <= f + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        nit += 1
+        s, y = xn - x, gn - g
+        sy = float(s @ y)
+        if sy > 1e-16 * math.sqrt(float(s @ s) * float(y @ y)):
+            if fresh:
+                h *= sy / float(y @ y)
+                fresh = False
+            # H + (1 + y.Hy / sy) s s^T / sy - (s w^T + w s^T), with w = H y / sy
+            w = (h @ y) / sy
+            h += s[:, None] * ((1.0 + float(y @ w)) / sy * s - w) - w[:, None] * s
+        stalled = f - fn <= _STALL * max(abs(f), abs(fn), 1.0)
+        x, f, g = xn, fn, gn
+        if stalled:
+            break
+    return Minimum(x, nfev, nit)
 
 
 def _penalized(x, lam, c, b):
@@ -179,14 +241,7 @@ def oracle_min_coupling(rho, omega, c, n_starts: int = 3, seed: int = 0) -> Orac
             noise = rng.normal(scale=0.15, size=(4, 4)) + 1j * rng.normal(scale=0.15, size=(4, 4))
             x = _pack(product + 0.5 * (noise + noise.conj().T))
         for lam in (1e2, 1e4):
-            x = minimize(
-                _penalized,
-                x,
-                args=(lam, cvec, b),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": 150, "ftol": 1e-18, "gtol": 1e-12},
-            ).x
+            x = minimize(_penalized, x, (lam, cvec, b), maxiter=150, gtol=1e-12).x
 
         y = np.zeros(16)
         yp = np.zeros((4, 4), dtype=complex)
@@ -195,10 +250,9 @@ def oracle_min_coupling(rho, omega, c, n_starts: int = 3, seed: int = 0) -> Orac
             x = minimize(
                 _al_objective,
                 x,
-                args=(lam_m, lam_p, y, yp, float(np.vdot(yp, yp).real), cvec, b),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": 400, "ftol": 1e-18, "gtol": 1e-13},
+                (lam_m, lam_p, y, yp, float(np.vdot(yp, yp).real), cvec, b),
+                maxiter=400,
+                gtol=1e-13,
             ).x
             m = _unpack(x)
             r = _A @ x - b

@@ -288,7 +288,8 @@ def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
             continue
         f0 = float(v @ q) - mu * logdet
         slope = float(grad @ delta)
-        step = 1.0 if dec_sq <= 0.0625 else 1.0 / (1.0 + math.sqrt(dec_sq))
+        # off-centre here (dec_sq > _CENTERING_TOL**2), so always the damped step
+        step = 1.0 / (1.0 + math.sqrt(dec_sq))
         accepted = False
         for _ in range(40):
             vn = v + step * delta
@@ -350,7 +351,7 @@ def _barrier_minimize_lanes(q, m0, v0, cfg: SolverConfig):
         s = np.flatnonzero(~centered & ~singular)
         if s.size:
             f0 = v[s] @ q - mu[s] * logdet[s]
-            step = np.where(dec_sq[s] <= 0.0625, 1.0, 1.0 / (1.0 + np.sqrt(dec_sq[s])))
+            step = 1.0 / (1.0 + np.sqrt(dec_sq[s]))
             pending = np.arange(s.size)
             for _ in range(40):
                 lane = s[pending]

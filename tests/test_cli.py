@@ -289,6 +289,14 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, ["distance", "--cost", "custom", "plus_z", "minus_z"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["distance", "divergence"])
+    @pytest.mark.parametrize("value", ["-1e-6", "-1E+3", "-inf"])
+    def test_negative_tolerance_exit_2(self, capsys, command, value):
+        # argparse alone reads -1e-6 as an unknown option and prints its usage text
+        code, out, err = run_cli(capsys, [command, "--tolerance", value, "plus_z", "plus_x"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: tolerance must be positive and finite") and err.count("\n") == 1
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     @pytest.mark.parametrize("command", ["distance", "divergence"])
     def test_non_finite_generator_exit_2(self, command, bad):

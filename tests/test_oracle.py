@@ -1,10 +1,16 @@
 """Tests for the penalized-descent oracle and its agreement with the solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qwasser
 from qwasser.cost import sym_cost, z_cost
-from qwasser.oracle import oracle_min_coupling, project_to_couplings
+from qwasser.oracle import minimize, oracle_min_coupling, project_to_couplings
 from qwasser.sampling import random_bloch_in_ball, random_bloch_on_sphere
 from qwasser.states import state_from_bloch
 from qwasser.transport import self_distance_sq, solve_min_coupling
@@ -111,6 +117,70 @@ class TestGradients:
         r = (_A @ x).view(complex)
         assert np.abs(r[:4] - partial_trace_second(m).ravel()).max() <= 1e-14
         assert np.abs(r[4:] - partial_trace_first(m).ravel()).max() <= 1e-14
+
+
+class TestMinimize:
+    @staticmethod
+    def _penalty_problem():
+        """The oracle's warm-up objective at its stiffer weight."""
+        from qwasser.oracle import _penalized
+
+        x0, c, b = TestGradients._point_and_targets(12)
+        return _penalized, x0, (1e4, c, b)
+
+    def test_reaches_the_minimizer_of_a_convex_quadratic(self):
+        rng = np.random.default_rng(11)
+        q = rng.normal(size=(16, 16))
+        a = q @ q.T + 0.5 * np.eye(16)
+        b = rng.normal(size=16)
+        res = minimize(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), rng.normal(size=16), (),
+                       maxiter=200, gtol=1e-12)
+        assert np.abs(res.x - np.linalg.solve(a, b)).max() <= 1e-9
+
+    def test_objective_never_increases_and_maxiter_is_honoured(self):
+        # the run capped at k steps ends at the k-th iterate of every longer run
+        fun, x0, args = self._penalty_problem()
+        first = minimize(fun, x0, args, maxiter=0, gtol=0.0)
+        assert np.array_equal(first.x, x0) and first.nit == 0 and first.nfev == 1
+        values = [fun(x0, *args)[0]]
+        for k in range(1, 25):
+            res = minimize(fun, x0, args, maxiter=k, gtol=0.0)
+            assert res.nit == k
+            values.append(fun(res.x, *args)[0])
+        assert np.all(np.diff(values) < 0.0)
+
+    def test_nfev_counts_the_calls(self):
+        fun, x0, args = self._penalty_problem()
+        calls = []
+
+        def counted(x, *a):
+            calls.append(x)
+            return fun(x, *a)
+
+        res = minimize(counted, x0, args, maxiter=150, gtol=1e-12)
+        assert res.nfev == len(calls)
+        assert res.nfev > res.nit + 1  # some steps backtracked
+
+
+def test_oracle_runs_without_scipy():
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from qwasser.cost import z_cost\n"
+        "from qwasser.oracle import oracle_min_coupling\n"
+        "from qwasser.states import state_from_bloch\n"
+        "rho, omega = state_from_bloch([0, 0, 0.9]), state_from_bloch([0, 0, -0.4])\n"
+        "res = oracle_min_coupling(rho, omega, z_cost(), seed=1)\n"
+        "assert abs(res.value - 2.6) <= 1e-6, res.value\n"
+        "loaded = [m for m, v in sys.modules.items() if m.startswith('scipy') and v is not None]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(qwasser.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestProjection:

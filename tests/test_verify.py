@@ -102,6 +102,8 @@ BAD_SUITE_ARGUMENTS = [
     ({"tolerance": math.inf}, ["--tolerance", "inf"]),
     ({"tolerance": math.nan}, ["--tolerance", "nan"]),
     ({"seed": -1}, ["--seed", "-1"]),
+    # argparse's own pattern for negative numbers misses the exponent form
+    ({"tolerance": -1e-6}, ["--tolerance", "-1e-6"]),
 ]
 
 
