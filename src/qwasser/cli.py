@@ -248,7 +248,8 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that takes every negative float literal as a value.
+    """An ArgumentParser that takes every negative float literal as a value
+    and reports a parse error on one line.
 
     argparse's own pattern misses the exponent form, so `--tolerance -1e-6`
     would be read as an unknown option and never reach the domain checks.
@@ -258,6 +259,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance, help="certified duality-gap target")
         p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
         p.add_argument("--no-fast-paths", action="store_true",
-                       help="always run the interior-point solve when possible")
+                       help="solve identical states by the interior-point method too "
+                            "(a pure marginal always takes its exact singleton coupling)")
         p.add_argument("--json", action="store_true", help="emit a machine-readable report")
         p.add_argument("state1")
         p.add_argument("state2")

@@ -14,8 +14,9 @@ PAULI = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
-#: default tolerance on | |b| - 1 | separating pure from mixed
-PURITY_TOL = 1e-8
+#: tolerance on | |b| - 1 | separating pure from mixed: 16 ulp (3.55e-15), above the
+#: 2e-15 that unitary and antiunitary conjugations of sphere points reach
+PURITY_TOL = 16 * np.finfo(float).eps
 #: Bloch norms in (1, 1 + BLOCH_CLAMP] are radially clamped; beyond is rejected
 BLOCH_CLAMP = 1e-6
 #: smallest admissible eigenvalue of a state matrix

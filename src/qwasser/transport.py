@@ -17,11 +17,11 @@ runs a single-pair loop.  Both loops build the Newton system with
 
 Closed paths (exact, no iteration):
 
-* if either marginal is pure, the feasible set is the singleton product
-  coupling omega (x) rho^T;
-* if rho == omega, the rank-one coupling built from vec(sqrt(rho)) is optimal
-  for any generator-built cost, which every `CostOperator` is; the solver
-  cross-validates it in tests.
+* if either marginal is pure to roundoff (`states.PURITY_TOL`), the
+  feasible set is the singleton product coupling omega (x) rho^T;
+* if rho == omega (fast paths only), the rank-one coupling built from
+  vec(sqrt(rho)) is optimal for any generator-built cost, which every
+  `CostOperator` is; the solver cross-validates it in tests.
   Its value is `self_distance_sq`, which the identical lanes of a solve and
   both self-distances of a divergence take on whole stacks of states.
 
@@ -51,7 +51,7 @@ from .linalg import (
     transpose_op,
     vec,
 )
-from .states import PAULI, PURITY_TOL, bloch_from_state, is_pure, validate_state
+from .states import PAULI, bloch_from_state, is_pure, validate_state
 
 # Pauli product basis; sigma_i (x) sigma_j is Hermitian with tr[(s_i s_j)^2] = 4.
 _PP = [[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)]
@@ -104,9 +104,6 @@ STATE_EQUAL_ATOL = 1e-12
 # _CENTERING_TOL.
 _MU_SHRINK = 0.03
 _CENTERING_TOL = 0.3
-# 1 - |b| of a marginal that counts as pure whatever the config: a few units of
-# double-precision roundoff, which state_from_bloch leaves on unit vectors.
-SINGLETON_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -132,7 +129,7 @@ class SolverConfig:
 
     tolerance: float = 1e-8
     max_iterations: int = 500
-    fast_paths: bool = True      # use exact closed forms when the optimizer is known
+    fast_paths: bool = True      # take identical states in closed form
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
@@ -415,17 +412,15 @@ def _lower_bounds(q, cmat, bvec, pi, mu):
 def _closed_forms(rhos, omegas, fast_paths: bool):
     """Masks (identical, pure) of the pairs whose optimum is taken in closed form.
 
-    With fast paths on, identical states take the vec(sqrt(rho)) coupling and
-    a marginal within `PURITY_TOL` of pure takes the product coupling.  With
-    them off, only a marginal pure to roundoff (`SINGLETON_TOL`) does: its
-    coupling set is the single product coupling, which the barrier cannot
-    enter, while a merely near-pure marginal is left to the barrier.
+    A marginal pure to roundoff (`is_pure`, whatever the config) takes the
+    product coupling: its coupling set is that single coupling, which the
+    barrier cannot enter.  A merely near-pure marginal is left to the barrier.
+    With fast paths on, identical states take the vec(sqrt(rho)) coupling.
     """
     identical = np.zeros(len(rhos), dtype=bool)
     if fast_paths:
         identical = (np.abs(rhos - omegas) <= STATE_EQUAL_ATOL).all(axis=(1, 2))
-    tol = PURITY_TOL if fast_paths else SINGLETON_TOL
-    pure = is_pure(np.stack((rhos, omegas)), tol).any(axis=0) & ~identical
+    pure = is_pure(np.stack((rhos, omegas))).any(axis=0) & ~identical
     return identical, pure
 
 

@@ -8,8 +8,7 @@ random streams are derived from (seed, counter).  A suite draws its pairs
 first and solves them together in batched calls (`solve_min_couplings`,
 `divergence_breakdowns`, `check_isometries`), whose certified per-pair results
 do not depend on the grouping.  Solves run at the solver defaults, except the
-`sdp` self-distances and the diagonal z pairs, which are forced through the
-barrier (`_FORCED`).
+`sdp` self-distances, which are forced through the barrier (`_FORCED`).
 
 Both closed-form suites and the CLI's `selfdist-table` take every
 self-distance value from `self_distance_table`, with one batched solve.
@@ -199,7 +198,7 @@ def _z_closed_forms(samples: int, seed: int, tolerance: float) -> list:
     tu = np.array([derived_rng(seed, 30_000 + i).uniform(-0.98, 0.98, size=2)
                    for i in range(min(samples, 100))]).reshape(-1, 2)
     diag = state_from_bloch(np.stack((np.zeros_like(tu), np.zeros_like(tu), tu), axis=-1))
-    diag_vals = _values(solve_min_couplings(diag[:, 0], diag[:, 1], c, _FORCED))
+    diag_vals = _values(solve_min_couplings(diag[:, 0], diag[:, 1], c))
     diag_devs = np.abs(diag_vals - 2.0 * np.abs(tu[:, 0] - tu[:, 1]))
 
     poles = solve_min_coupling(

@@ -273,9 +273,13 @@ class TestNearPure:
         assert code == 3 and err == ""
         assert "status     = max_iterations" in out
 
-    def test_fast_paths_take_the_closed_form(self, capsys):
+    def test_default_run_matches_the_forced_run(self, capsys):
+        # a near-pure marginal is not pure: fast paths take no shortcut, and
+        # the default run prints the forced run's result and exit code
+        forced = run_cli(capsys, ["distance", "--no-fast-paths", *self.PAIR])
         code, out, err = run_cli(capsys, ["distance", *self.PAIR])
-        assert code == 0 and "closed_form" in out
+        assert (code, out, err) == forced
+        assert code == 3 and "status     = max_iterations" in out
 
 
 class TestUsageErrors:
@@ -284,6 +288,16 @@ class TestUsageErrors:
 
     def test_missing_args_exit_2(self, capsys):
         assert run_cli(capsys, ["distance"])[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "divergence-triangle", "--samples", "abc"],
+        ["distance", "--max-iterations", "1.5", "plus_z", "plus_x"],
+    ])
+    def test_parse_error_is_one_line_exit_2(self, capsys, argv):
+        # argparse alone prints its usage text before the error
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: argument --") and err.count("\n") == 1
 
     def test_custom_without_generators_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["distance", "--cost", "custom", "plus_z", "minus_z"])

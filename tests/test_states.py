@@ -156,6 +156,10 @@ class TestPurity:
     def test_pythagorean_pure(self):
         assert is_pure(state_from_bloch([0.6, 0.0, 0.8]))
 
+    def test_near_pure_is_mixed(self):
+        # pure means pure to roundoff: 1 - |b| = 1e-10 is a mixed state
+        assert not is_pure(state_from_bloch(np.array([0.6, 0.0, 0.8]) * (1.0 - 1e-10)))
+
     def test_boundary_eigenvalues(self):
         rng = np.random.default_rng(1)
         for _ in range(200):

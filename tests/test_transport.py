@@ -7,9 +7,10 @@ import pytest
 
 from qwasser.cost import build_cost, sym_cost, z_cost
 from qwasser.errors import DomainError, InternalConsistencyError
+from qwasser.isometry import apply_state_map, sample_wigner_map
 from qwasser.linalg import bra_cost_ket, sqrt_psd, tensor, transpose_op
 from qwasser.sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
-from qwasser.states import state_from_bloch
+from qwasser.states import bloch_from_state, state_from_bloch
 from qwasser.transport import (
     Coupling,
     SolverConfig,
@@ -244,9 +245,45 @@ class TestSolver:
             forced = solve_min_coupling(*args, C_SYM, FORCED)
             assert forced.solver_status == "closed_form"
 
+    def test_conjugated_pure_states_are_singletons(self):
+        # a Haar unitary or antiunitary conjugation leaves a sphere point up
+        # to about 2e-15 from unit norm; within PURITY_TOL it is still pure, so
+        # under either config its coupling set is the product coupling alone
+        conj = []
+        for i in range(300):
+            rng = derived_rng(0, i)
+            conj.append(apply_state_map(sample_wigner_map(rng), state_from_bloch(random_bloch_on_sphere(rng))))
+        conj = np.array(conj)
+        assert np.abs(np.linalg.norm(bloch_from_state(conj), axis=1) - 1.0).max() > 1e-15
+        mixed = np.broadcast_to(state_from_bloch([0.2, 0.3, -0.1]), conj.shape)
+        product = coupling_cost(np.einsum("nij,nlk->nikjl", mixed, conj).reshape(-1, 4, 4), C_SYM)
+        for cfg in (SolverConfig(), FORCED):
+            results = solve_min_couplings(conj, mixed, C_SYM, cfg)
+            assert {r.solver_status for r in results} == {"closed_form"}
+            assert np.array_equal([r.optimal_value for r in results], product)
+
+    @pytest.mark.parametrize("c", [C_SYM, C_Z], ids=["sym", "z"])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_near_pure_marginal_goes_to_the_barrier_whatever_the_config(self, eps, c):
+        # 1 - |b| = eps, far above roundoff: the product coupling is not the
+        # optimum, so no config may return it as a closed form
+        near = state_from_bloch(np.array([0.36, -0.48, 0.8]) * (1.0 - eps))
+        mixed = state_from_bloch([0.2, 0.3, -0.1])
+        for args in ((near, mixed), (mixed, near)):
+            res, forced = solve_min_coupling(*args, c), solve_min_coupling(*args, c, FORCED)
+            assert res.solver_status != "closed_form"
+            assert (res.optimal_value, res.solver_status, res.duality_gap_or_residual, res.iterations) == (
+                forced.optimal_value, forced.solver_status, forced.duality_gap_or_residual, forced.iterations)
+            assert np.array_equal(res.optimal_coupling.matrix, forced.optimal_coupling.matrix)
+            product = coupling_cost(product_coupling(*args), c)
+            assert res.optimal_value <= product
+            if eps == 1e-9 and c is C_SYM:
+                assert res.solver_status == "converged"
+                assert res.optimal_value < product - 1e-5
+
     def test_forced_near_pure_marginal_goes_to_the_barrier(self):
-        # within PURITY_TOL of pure but not pure to roundoff: the coupling set
-        # is not a singleton, and the product coupling is far from optimal
+        # 5e-9 from pure, far above roundoff: the coupling set is not a
+        # singleton, and the product coupling is far from optimal
         near = state_from_bloch(np.array([0.36, -0.48, 0.8]) * (1.0 - 5e-9))
         mixed = state_from_bloch([0.2, 0.3, -0.1])
         for args in ((near, mixed), (mixed, near)):
