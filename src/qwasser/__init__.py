@@ -65,15 +65,3 @@ from .transport import (
 from .verify import SUITE_NAMES, SuiteResult, run_suite
 
 __version__ = "0.1.0"
-
-# The oracle is a cross-check that no solve or CLI command uses, so importing
-# the package does not load it; it loads on first access (PEP 562).
-_LAZY_ORACLE = ("OracleResult", "oracle_min_coupling")
-
-
-def __getattr__(name):
-    if name in _LAZY_ORACLE:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -127,7 +127,10 @@ def apply_state_map(state_map: StateMap, rho) -> np.ndarray:
         images = [state_map.payload(b) for b in bloch_from_state(flat)]
         return state_from_bloch(np.reshape(images, (*lead, -1)) if images else np.empty((*lead, 3)))
     if kind == "z_phase_field":
-        u = z_phase_unitary([float(state_map.payload(r)) for r in flat]).reshape(rho.shape)
+        t = np.array([float(state_map.payload(r)) for r in flat])
+        if not np.isfinite(t).all():
+            raise DomainError(f"{state_map.label}: non-finite phase {t[~np.isfinite(t)][0]}")
+        u = z_phase_unitary(t).reshape(rho.shape)
         return u @ rho @ dagger(u)
     raise DomainError(f"unknown state-map kind {kind!r}")
 
@@ -211,8 +214,10 @@ def check_isometries(state_maps: list, seeds: list, metric: str, n_samples: int 
         raise DomainError("n_samples must be >= 1")
     if metric not in METRICS:
         raise DomainError(f"unknown metric {metric!r}; choose from {METRICS}")
+    if not 0 < len(state_maps) == len(seeds):
+        raise DomainError(f"{len(state_maps)} maps, {len(seeds)} seeds: need at least one map and a seed per map")
     samples, stacks = [], []
-    for state_map, seed in zip(state_maps, seeds, strict=True):
+    for state_map, seed in zip(state_maps, seeds):
         pairs = sample_state_pairs(derived_rng(seed, 0), n_samples)
         samples.append(pairs)
         stacks += [pairs, apply_state_map(state_map, pairs)]

@@ -1,16 +1,16 @@
 """Independent brute-force minimizer used to cross-check the interior-point path.
 
 The coupling is parametrized directly by the 16 real coordinates x of a
-Hermitian 4x4 matrix.  A quadratic-penalty warmup is followed by an augmented
-Lagrangian with multipliers on both marginal constraints and on the PSD cone
-(inner solves by `minimize`, a dense BFGS on x with analytic gradients;
-several random restarts), which drives constraint violations to ~1e-12 with
-bounded penalty weights even when nearly pure marginals make the coupling set
-razor thin.  The best candidate is restored to exact feasibility by a short
-alternating-projection polish, so the reported value is the cost of an
-explicitly (near-machine) feasible coupling.
+Hermitian 4x4 matrix.  An augmented Lagrangian with multipliers on both
+marginal constraints and on the PSD cone, warmed up at zero multipliers (a
+plain quadratic penalty), drives constraint violations to ~1e-12 with bounded
+penalty weights even when nearly pure marginals make the coupling set razor
+thin; its inner solves are `minimize`, a dense BFGS on x with analytic
+gradients, from three starts.  The best candidate is restored to exact
+feasibility by a short alternating-projection polish, so the reported value is
+the cost of an explicitly (near-machine) feasible coupling.
 
-The objectives work on x itself: the cost is the linear form tr[C m] = c . x
+The objective works on x itself: the cost is the linear form tr[C m] = c . x
 and both marginal residuals are one real 16x16 map, A x - b, built once at
 import, so only the cone term needs a 4x4 matrix (one eigh per evaluation).
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import cost_matrix
-from .errors import ContractViolation
 from .linalg import partial_trace_first, partial_trace_second, transpose_op
 from .sampling import derived_rng
 from .states import PAULI, validate_state
@@ -43,6 +42,8 @@ _POLISH_EIG_FLOOR = -5e-13
 _ARMIJO = 1e-4
 _HALVINGS = 40
 _STALL = 1e-18
+# oracle_min_coupling: the product coupling, then _STARTS - 1 perturbations of it
+_STARTS = 3
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class OracleResult:
     matrix: np.ndarray
     marginal_residual: float
     min_eigenvalue: float
-    n_starts: int
 
 
 def _basis() -> np.ndarray:
@@ -156,20 +156,6 @@ def minimize(fun, x, args, maxiter: int, gtol: float) -> Minimum:
     return Minimum(x, nfev, nit)
 
 
-def _penalized(x, lam, c, b):
-    """Plain quadratic penalty, used to warm up the multiplier phase.
-
-    c = _pack_grad(C) is the cost as a linear form (tr[C m] = c . x) and
-    b = _marginal_vector of the target marginals, so the residual is _A x - b.
-    """
-    r = _A @ x - b
-    w, v = np.linalg.eigh(_unpack(x))
-    neg = np.minimum(w, 0.0)
-    val = c @ x + lam * (r @ r + neg @ neg)
-    grad = c + 2.0 * lam * (_A.T @ r + _pack_grad((v * neg) @ v.conj().T))
-    return val, grad
-
-
 def _al_objective(x, lam_m, lam_p, y, yp, yp_sq, c, b):
     """Augmented Lagrangian: multipliers y on the marginals, yp on the cone.
 
@@ -219,10 +205,8 @@ def project_to_couplings(m, rho, omega):
     return _psd_project(p)
 
 
-def oracle_min_coupling(rho, omega, c, n_starts: int = 3, seed: int = 0) -> OracleResult:
-    """Multi-start penalized descent over the 16-parameter coupling set."""
-    if n_starts < 1:
-        raise ContractViolation(f"oracle_min_coupling: n_starts must be at least 1, got {n_starts}")
+def oracle_min_coupling(rho, omega, c, seed: int = 0) -> OracleResult:
+    """Augmented-Lagrangian descent from `_STARTS` starts over the 16-parameter coupling set."""
     rho = validate_state(rho, "rho")
     omega = validate_state(omega, "omega")
     cmat = cost_matrix(c)
@@ -233,18 +217,20 @@ def oracle_min_coupling(rho, omega, c, n_starts: int = 3, seed: int = 0) -> Orac
     best_val = np.inf
     best_mat = None
     product = np.kron(omega, rho_t)
-    for start in range(n_starts):
+    for start in range(_STARTS):
         if start == 0:
             x = _pack(product)
         else:
             rng = derived_rng(seed, start)
             noise = rng.normal(scale=0.15, size=(4, 4)) + 1j * rng.normal(scale=0.15, size=(4, 4))
             x = _pack(product + 0.5 * (noise + noise.conj().T))
-        for lam in (1e2, 1e4):
-            x = minimize(_penalized, x, (lam, cvec, b), maxiter=150, gtol=1e-12).x
-
         y = np.zeros(16)
         yp = np.zeros((4, 4), dtype=complex)
+        # warm-up: at zero multipliers with lam_p = 2 lam the objective is the
+        # quadratic penalty c.x + lam (|r|^2 + |m_-|^2), m_- the negative part of m
+        for lam in (1e2, 1e4):
+            x = minimize(_al_objective, x, (lam, 2 * lam, y, yp, 0.0, cvec, b), maxiter=150, gtol=1e-12).x
+
         lam_m = lam_p = 1e5
         for _ in range(12):
             x = minimize(
@@ -274,4 +260,4 @@ def oracle_min_coupling(rho, omega, c, n_starts: int = 3, seed: int = 0) -> Orac
     r2 = np.abs(partial_trace_second(best_mat) - omega).max()
     r1 = np.abs(partial_trace_first(best_mat) - rho_t).max()
     min_eig = float(np.linalg.eigvalsh(best_mat)[0])
-    return OracleResult(best_val, best_mat, float(max(r1, r2)), min_eig, n_starts)
+    return OracleResult(best_val, best_mat, float(max(r1, r2)), min_eig)

@@ -1,7 +1,7 @@
 """Seeded random generators for Bloch vectors, unitaries, and rotations.
 
-Every stream is derived from an integer seed plus a counter index so that
-sample k is the same no matter how many workers evaluate the batch.
+Every stream is derived from an integer seed plus a counter index, so sample
+k does not depend on how a suite groups its draws, as `SEED0_FIGURES` needs.
 """
 
 from __future__ import annotations

@@ -92,10 +92,10 @@ def validate_state(m, what: str = "state") -> np.ndarray:
     return m
 
 
-def is_pure(rho, tol: float = PURITY_TOL):
-    """True iff the Bloch vector has unit length within tol; a stack of states
-    gives a boolean array."""
-    pure = np.abs(np.linalg.norm(bloch_from_state(rho), axis=-1) - 1.0) <= tol
+def is_pure(rho):
+    """True iff the Bloch vector has unit length within `PURITY_TOL`; a stack
+    of states gives a boolean array."""
+    pure = np.abs(np.linalg.norm(bloch_from_state(rho), axis=-1) - 1.0) <= PURITY_TOL
     return bool(pure) if pure.ndim == 0 else pure
 
 

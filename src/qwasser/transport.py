@@ -46,6 +46,7 @@ from .linalg import (
     partial_trace_first,
     partial_trace_second,
     real_part,
+    require_square,
     sqrt_psd,
     tensor,
     transpose_op,
@@ -53,22 +54,19 @@ from .linalg import (
 )
 from .states import PAULI, bloch_from_state, is_pure, validate_state
 
-# Pauli product basis; sigma_i (x) sigma_j is Hermitian with tr[(s_i s_j)^2] = 4.
-_PP = [[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)]
-# Free directions: both partial traces vanish, so they span the coupling slice.
-_FREE = np.stack([_PP[i][j] for i in (1, 2, 3) for j in (1, 2, 3)]) * 0.25
-# Constraint operators whose Pi-expectations are pinned by the marginals.
-_CONSTRAINTS = np.stack(
-    [_PP[0][0]] + [_PP[i][0] for i in (1, 2, 3)] + [_PP[0][j] for j in (1, 2, 3)]
-)
-_ROW = np.stack([_PP[i][0] for i in (1, 2, 3)])
-_COL = np.stack([_PP[0][j] for j in (1, 2, 3)])
-_FREE_FLAT = _FREE.reshape(9, 16)
-# A = sum_k x[k] P_k with x = vec(A) @ _COEF, P_k = sigma_(k // 4) (x) sigma_(k % 4).
-_P16 = np.stack([_PP[i][j] for i in range(4) for j in range(4)])
+# Pauli product basis P_k = sigma_(k // 4) (x) sigma_(k % 4); each is Hermitian
+# with tr[P_k^2] = 4.  A = sum_k x[k] P_k with x = vec(A) @ _COEF.
+_P16 = np.stack([np.kron(PAULI[i], PAULI[j]) for i in range(4) for j in range(4)])
 _COEF = _P16.transpose(0, 2, 1).reshape(16, 16).T / 4.0
-# tr[P_k F_a] is 1 for the P_k that F_a is a quarter of, and 0 otherwise.
+# Free directions F_a = P_k / 4 with both Pauli indices nonzero: both partial
+# traces vanish, so they span the coupling slice.  tr[P_k F_a] is 1 for the
+# P_k that F_a is a quarter of, and 0 otherwise.
 _FREE_INDEX = np.array([4 * i + j for i in (1, 2, 3) for j in (1, 2, 3)])
+_FREE = _P16[_FREE_INDEX] * 0.25
+_FREE_FLAT = _FREE.reshape(9, 16)
+# Constraint operators whose Pi-expectations are pinned by the marginals:
+# I (x) I, then sigma_i (x) I and I (x) sigma_j for i, j = 1, 2, 3.
+_CONSTRAINTS = _P16[[0, 4, 8, 12, 1, 2, 3]]
 
 
 # Pairs k <= l of Pauli coefficients and a <= b of free directions: x (x) x
@@ -175,7 +173,7 @@ def purification_coupling(rho) -> Coupling:
 def coupling_cost(pi, c):
     """tr[Pi C], or an array of them for a stack of matrices; the imaginary
     parts must be roundoff."""
-    m = pi.matrix if isinstance(pi, Coupling) else np.asarray(pi, dtype=complex)
+    m = pi.matrix if isinstance(pi, Coupling) else require_square(pi, (4,), "coupling_cost", stack=True)
     return real_part(np.einsum("...ij,ji->...", m, cost_matrix(c)), "coupling_cost")
 
 
@@ -185,9 +183,9 @@ def _affine_parts(rhos, omegas):
     b_omega = bloch_from_state(omegas)
     b_rho_t = bloch_from_state(rhos) * np.array([1.0, -1.0, 1.0])
     fixed = 0.25 * (
-        _PP[0][0]
-        + np.tensordot(b_omega, _ROW, axes=1)
-        + np.tensordot(b_rho_t, _COL, axes=1)
+        _CONSTRAINTS[0]
+        + np.tensordot(b_omega, _CONSTRAINTS[1:4], axes=1)
+        + np.tensordot(b_rho_t, _CONSTRAINTS[4:], axes=1)
     )
     bvec = np.concatenate((np.ones((len(rhos), 1)), b_omega, b_rho_t), axis=1)
     x0 = (b_omega[:, :, None] * b_rho_t[:, None, :]).reshape(-1, 9)

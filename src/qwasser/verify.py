@@ -129,8 +129,10 @@ def self_distance_table(blochs, cost: str, norms=None) -> dict:
     if cost not in _SELF_FORMS:
         raise DomainError(f"self_distance_table: unknown cost {cost!r}; choose from {sorted(_SELF_FORMS)}")
     blochs = np.asarray(blochs, dtype=float).reshape(-1, 3)
-    norms = np.linalg.norm(blochs, axis=1) if norms is None else np.asarray(norms, dtype=float)
     rhos = state_from_bloch(blochs)
+    norms = np.linalg.norm(blochs, axis=1) if norms is None else np.asarray(norms, dtype=float)
+    if norms.shape != (len(blochs),) or not np.isfinite(norms).all():
+        raise DomainError(f"self_distance_table: norms must be {len(blochs)} finite numbers, one per Bloch vector")
     make_cost, closed_sq, *_, scale = _SELF_FORMS[cost]
     c = make_cost()
     closed = np.array([closed_sq(r, b3) for r, b3 in zip(norms, blochs[:, 2])])

@@ -78,6 +78,16 @@ class TestApply:
         with pytest.raises(DomainError):
             apply_state_map(m, state_from_bloch([0.9, 0, 0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected_without_a_warning(self, bad):
+        m = z_phase_field_map(lambda rho: bad if rho[0, 0].real > 0.5 else 0.3, "bad-phase")
+        states = state_from_bloch([[0.2, 0.0, -0.4], [0.0, 0.3, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rho in (states[1], states):
+                with pytest.raises(DomainError, match="non-finite phase"):
+                    apply_state_map(m, rho)
+
 
 def one_state_apply(state_map, rho):
     """apply_state_map as written for a single state: the reference a stack
@@ -297,6 +307,23 @@ class TestCheckIsometry:
     def test_unknown_metric(self):
         with pytest.raises(DomainError):
             check_isometry(unitary_conj_map(np.eye(2), "id"), "D_xz")
+
+
+IDENTITY_MAP = unitary_conj_map(np.eye(2), "id")
+# Harness calls whose arguments the harness cannot use.
+BAD_HARNESS_CALLS = {
+    "no-maps": lambda: check_isometries([], [], "D_z"),
+    "too-few-seeds": lambda: check_isometries([IDENTITY_MAP, IDENTITY_MAP], [0], "D_z"),
+    "too-many-seeds": lambda: check_isometries([IDENTITY_MAP], [0, 1], "D_sym"),
+    "no-samples": lambda: check_isometries([IDENTITY_MAP], [0], "d_sym", n_samples=0),
+    "crosscheck-no-maps": lambda: theorem_crosscheck_dz(MAP_FAMILIES["z_rotations"], n_maps=0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_HARNESS_CALLS))
+def test_bad_harness_arguments_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        BAD_HARNESS_CALLS[call]()
 
 
 class TestWignerClosure:

@@ -1,4 +1,4 @@
-"""Tests for the penalized-descent oracle and its agreement with the solver."""
+"""Tests for the augmented-Lagrangian oracle and its agreement with the solver."""
 
 import os
 import subprocess
@@ -85,13 +85,6 @@ class TestGradients:
         rho_t = state_from_bloch([-0.4, 0.2, 0.1]).T.copy()
         return x0, _pack_grad(C_SYM.matrix), _marginal_vector(omega, rho_t)
 
-    def test_penalized_gradient(self):
-        from qwasser.oracle import _penalized
-
-        x0, c, b = self._point_and_targets(7)
-        err = self._finite_difference_check(_penalized, x0, (1e3, c, b))
-        assert err < 1e-6
-
     def test_al_gradient(self):
         from qwasser.oracle import _al_objective
 
@@ -101,6 +94,31 @@ class TestGradients:
         yp_sq = float(np.vdot(yp, yp).real)
         err = self._finite_difference_check(_al_objective, x0, (1e3, 1e3, y, yp, yp_sq, c, b))
         assert err < 1e-6
+        # zero multipliers with lam_p = 2 lam_m: the oracle's warm-up penalty
+        x0, c, b = self._point_and_targets(7)
+        err = self._finite_difference_check(_al_objective, x0, (1e3, 2e3, *self._no_multipliers(), c, b))
+        assert err < 1e-6
+
+    @staticmethod
+    def _no_multipliers():
+        return np.zeros(16), np.zeros((4, 4), dtype=complex), 0.0
+
+    @pytest.mark.parametrize("lam", [1e2, 1e4])
+    def test_zero_multipliers_give_the_quadratic_penalty(self, lam):
+        # c.x + lam (|r|^2 + |m_-|^2), m_- the negative part of m, and its gradient
+        from qwasser.oracle import _A, _al_objective, _pack_grad, _unpack
+
+        for seed in (7, 12, 13):
+            x0, c, b = self._point_and_targets(seed)
+            r = _A @ x0 - b
+            w, v = np.linalg.eigh(_unpack(x0))
+            neg = np.minimum(w, 0.0)
+            assert neg.min() < 0.0  # the cone term is active
+            value = c @ x0 + lam * (r @ r + neg @ neg)
+            grad = c + 2.0 * lam * (_A.T @ r + _pack_grad((v * neg) @ v.conj().T))
+            val, g = _al_objective(x0, lam, 2.0 * lam, *self._no_multipliers(), c, b)
+            assert val == pytest.approx(value, rel=1e-13)
+            assert np.abs(g - grad).max() <= 1e-12 * np.abs(grad).max()
 
     def test_linear_maps_match_the_matrix_forms(self):
         # cost and marginals as linear maps on the 16 packed coordinates
@@ -123,10 +141,10 @@ class TestMinimize:
     @staticmethod
     def _penalty_problem():
         """The oracle's warm-up objective at its stiffer weight."""
-        from qwasser.oracle import _penalized
+        from qwasser.oracle import _al_objective
 
         x0, c, b = TestGradients._point_and_targets(12)
-        return _penalized, x0, (1e4, c, b)
+        return _al_objective, x0, (1e4, 2e4, *TestGradients._no_multipliers(), c, b)
 
     def test_reaches_the_minimizer_of_a_convex_quadratic(self):
         rng = np.random.default_rng(11)
@@ -199,14 +217,6 @@ class TestProjection:
 
 
 class TestContract:
-    def test_rejects_no_starts(self):
-        from qwasser.errors import ContractViolation
-
-        rho = state_from_bloch([0.1, 0.2, 0.3])
-        for n in (0, -1):
-            with pytest.raises(ContractViolation, match="n_starts"):
-                oracle_min_coupling(rho, rho, C_Z, n_starts=n)
-
     def test_rejects_a_raw_matrix_cost(self):
         from qwasser.errors import DomainError
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qwasser.cost import build_cost, sym_cost, z_cost
-from qwasser.errors import DomainError, InternalConsistencyError
+from qwasser.errors import ContractViolation, DomainError, InternalConsistencyError
 from qwasser.isometry import apply_state_map, sample_wigner_map
 from qwasser.linalg import bra_cost_ket, sqrt_psd, tensor, transpose_op
 from qwasser.sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
@@ -102,6 +102,11 @@ class TestCouplingCost:
     def test_rejects_large_imaginary_part(self):
         with pytest.raises(InternalConsistencyError):
             coupling_cost(1j * np.eye(4) / 4, C_SYM)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 2, 2), (4,)])
+    def test_rejects_a_matrix_that_is_not_4x4(self, shape):
+        with pytest.raises(ContractViolation, match="coupling_cost"):
+            coupling_cost(np.ones(shape) / 4, C_SYM)
 
     @pytest.mark.parametrize("entry_point", sorted(COST_ENTRY_POINTS))
     def test_raw_matrix_cost_is_rejected(self, entry_point):

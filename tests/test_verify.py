@@ -122,6 +122,13 @@ def test_selfdist_table_rejects_unknown_cost():
         self_distance_table([[0.0, 0.0, 0.5]], "custom")
 
 
+@pytest.mark.parametrize("norms", [[0.5], [0.5] * 4, [0.5, math.nan, 0.5], [0.5, 0.5, math.inf], [[0.5] * 3]])
+def test_selfdist_table_needs_one_finite_norm_per_point(norms):
+    # zip used to truncate the closed forms to len(norms) rows, and a NaN norm gave NaN closed forms
+    with pytest.raises(DomainError, match="norms"):
+        self_distance_table([[0.0, 0.0, 0.5], [0.5, 0.0, 0.0], [0.3, 0.0, 0.4]], "z", norms=norms)
+
+
 @pytest.mark.parametrize("cost", ["sym", "z"])
 def test_selfdist_table_rows_match_the_per_point_path(cost, capsys):
     # the default `selfdist-table` grid, built as the CLI builds it
