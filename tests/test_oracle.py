@@ -85,6 +85,14 @@ class TestGradients:
         rho_t = state_from_bloch([-0.4, 0.2, 0.1]).T.copy()
         return x0, _pack_grad(C_SYM.matrix), _marginal_vector(omega, rho_t)
 
+    def test_penalized_gradient(self):
+        # zero multipliers with lam_p = 2 lam_m: the oracle's warm-up penalty
+        from qwasser.oracle import _al_objective
+
+        x0, c, b = self._point_and_targets(7)
+        err = self._finite_difference_check(_al_objective, x0, (1e3, 2e3, *self._no_multipliers(), c, b))
+        assert err < 1e-6
+
     def test_al_gradient(self):
         from qwasser.oracle import _al_objective
 
@@ -93,10 +101,6 @@ class TestGradients:
         yp = np.diag([0.5, 0.1, 0.0, 0.2]).astype(complex)
         yp_sq = float(np.vdot(yp, yp).real)
         err = self._finite_difference_check(_al_objective, x0, (1e3, 1e3, y, yp, yp_sq, c, b))
-        assert err < 1e-6
-        # zero multipliers with lam_p = 2 lam_m: the oracle's warm-up penalty
-        x0, c, b = self._point_and_targets(7)
-        err = self._finite_difference_check(_al_objective, x0, (1e3, 2e3, *self._no_multipliers(), c, b))
         assert err < 1e-6
 
     @staticmethod
