@@ -10,7 +10,8 @@ maximally_mixed), as ``bloch:x,y,z``, or as inline JSON:
 A single positional state may be ``-`` to read its JSON spec from stdin.
 
 Exit codes: 0 success / converged, 1 failed verification checks,
-2 parse or domain errors, 3 solver non-convergence or any other solver error.
+2 parse or domain errors, 3 solver non-convergence or any other solver error,
+141 (128 + SIGPIPE) when the reader closes stdout early, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -311,7 +313,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): end quietly, and send what is
+        # still buffered to devnull so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the pipe killed
     except (DomainError, ContractViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

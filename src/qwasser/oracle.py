@@ -6,9 +6,14 @@ marginal constraints and on the PSD cone, warmed up at zero multipliers (a
 plain quadratic penalty), drives constraint violations to ~1e-12 with bounded
 penalty weights even when nearly pure marginals make the coupling set razor
 thin; its inner solves are `minimize`, a dense BFGS on x with analytic
-gradients, from three starts.  The best candidate is restored to exact
-feasibility by a short alternating-projection polish, so the reported value is
-the cost of an explicitly (near-machine) feasible coupling.
+gradients, from three starts.  Within a start, each inner solve begins from
+the inverse Hessian (`Minimum.h`) that the last one ended with, scaled by the
+ratio of the old to the new marginal penalty weight: the penalty terms
+dominate the Hessian and grow linearly in that weight.  Where a carried
+inverse Hessian yields no step, `minimize` resets it to the identity and
+retries; each start begins from the identity.  The best candidate is
+restored to exact feasibility by a short alternating-projection polish, so the
+reported value is the cost of an explicitly (near-machine) feasible coupling.
 
 The objective works on x itself: the cost is the linear form tr[C m] = c . x
 and both marginal residuals are one real 16x16 map, A x - b, built once at
@@ -105,28 +110,35 @@ class Minimum:
     x: np.ndarray
     nfev: int  # calls of the objective
     nit: int  # accepted steps
+    h: np.ndarray  # the final inverse-Hessian estimate
 
 
-def minimize(fun, x, args, maxiter: int, gtol: float) -> Minimum:
+def minimize(fun, x, args, maxiter: int, gtol: float, h=None) -> Minimum:
     """Dense BFGS for a smooth objective fun(x, *args) -> (value, gradient).
 
-    The inverse Hessian H starts at the identity and is rescaled to
-    (s.y / y.y) I before the first update (Nocedal & Wright, Numerical
-    Optimization, 6.20); an update with s.y <= 1e-16 |s| |y| is skipped, and a
-    direction -H g that does not descend resets H to the identity.  Steps are
-    found by Armijo backtracking from 1, or from min(1, 1 / |g|_1) while H is
-    the identity.  Stops when max |g| <= gtol, after maxiter steps, when a
-    step's relative decrease is at most _STALL, or when no step decreases f.
+    The inverse Hessian H starts at `h` when one is given, used as it is, so
+    that a caller can carry curvature over from a related problem; otherwise
+    at the identity, rescaled to (s.y / y.y) I before the first update
+    (Nocedal & Wright, Numerical Optimization, 6.20).  An update with
+    s.y <= 1e-16 |s| |y| is skipped.  Steps are found by Armijo backtracking
+    from 1, or from min(1, 1 / |g|_1) while H is the identity.  When -H g does
+    not descend, is too short to move x, or has no trial that passes the
+    Armijo test, H is reset to the identity and the step retried from the
+    same point.  Stops when max |g| <= gtol, after maxiter steps, when a
+    step's relative decrease is at most _STALL, or when no step from the
+    identity decreases f.  The final H is returned with x.
     """
     f, g = fun(x, *args)
     nfev, nit = 1, 0
     n = x.size
-    h = np.eye(n)
-    fresh = True  # h is the identity, not yet scaled by a curvature estimate
+    fresh = h is None  # h is the identity, not yet scaled by a curvature estimate
+    h = np.eye(n) if fresh else h.copy()
     while nit < maxiter and np.abs(g).max() > gtol:
         p = -(h @ g)
         slope = float(g @ p)
-        if not slope < 0.0:
+        # no step along a direction that does not descend, or that is too
+        # short to move x, can decrease f
+        if not slope < 0.0 or np.array_equal(x + p, x):
             h, fresh = np.eye(n), True
             p, slope = -g, -float(g @ g)
         t = min(1.0, 1.0 / np.abs(g).sum()) if fresh else 1.0
@@ -138,7 +150,10 @@ def minimize(fun, x, args, maxiter: int, gtol: float) -> Minimum:
                 break
             t *= 0.5
         else:
-            break
+            if fresh:
+                break
+            h, fresh = np.eye(n), True  # retry from x along -g
+            continue
         nit += 1
         s, y = xn - x, gn - g
         sy = float(s @ y)
@@ -153,7 +168,7 @@ def minimize(fun, x, args, maxiter: int, gtol: float) -> Minimum:
         x, f, g = xn, fn, gn
         if stalled:
             break
-    return Minimum(x, nfev, nit)
+    return Minimum(x, nfev, nit, h)
 
 
 def _al_objective(x, lam_m, lam_p, y, yp, yp_sq, c, b):
@@ -226,20 +241,28 @@ def oracle_min_coupling(rho, omega, c, seed: int = 0) -> OracleResult:
             x = _pack(product + 0.5 * (noise + noise.conj().T))
         y = np.zeros(16)
         yp = np.zeros((4, 4), dtype=complex)
+        # The penalty terms dominate the Hessian and grow linearly in lam_m, so
+        # each inner solve starts from the inverse Hessian h that the last one
+        # ended with at weight lam_h, scaled by lam_h / lam_m.
+        h = lam_h = None
         # warm-up: at zero multipliers with lam_p = 2 lam the objective is the
         # quadratic penalty c.x + lam (|r|^2 + |m_-|^2), m_- the negative part of m
         for lam in (1e2, 1e4):
-            x = minimize(_al_objective, x, (lam, 2 * lam, y, yp, 0.0, cvec, b), maxiter=150, gtol=1e-12).x
+            res = minimize(_al_objective, x, (lam, 2 * lam, y, yp, 0.0, cvec, b), maxiter=150, gtol=1e-12,
+                           h=None if h is None else h * (lam_h / lam))
+            x, h, lam_h = res.x, res.h, lam
 
         lam_m = lam_p = 1e5
         for _ in range(12):
-            x = minimize(
+            res = minimize(
                 _al_objective,
                 x,
                 (lam_m, lam_p, y, yp, float(np.vdot(yp, yp).real), cvec, b),
                 maxiter=400,
                 gtol=1e-13,
-            ).x
+                h=h * (lam_h / lam_m),
+            )
+            x, h, lam_h = res.x, res.h, lam_m
             m = _unpack(x)
             r = _A @ x - b
             # largest entry modulus of either marginal residual, or the most negative eigenvalue

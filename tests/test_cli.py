@@ -224,6 +224,24 @@ class TestSelfdistTable:
         lines = out.splitlines()
         assert len(lines) == 1 and lines[0].startswith("schema_version,bloch_norm,b3,")
 
+    def test_a_reader_that_stops_early_gets_no_traceback(self):
+        # 1600 rows, far more than a pipe holds: the CLI is still writing when
+        # the reader closes the pipe after one line
+        src = str(Path(qwasser.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "qwasser.cli", "selfdist-table", "--norm-steps", "40",
+             "--b3-steps", "40"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"schema_version,")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert err == b""
+        assert proc.returncode == 141
+
     @pytest.mark.parametrize("flags", [["--norm-steps", "-2"], ["--b3-steps", "-1"],
                                        ["--output", "{tmp}/missing/table.csv"], ["--output", "{tmp}"]])
     def test_bad_arguments_exit_2(self, capsys, tmp_path, flags):

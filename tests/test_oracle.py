@@ -11,7 +11,7 @@ import pytest
 import qwasser
 from qwasser.cost import sym_cost, z_cost
 from qwasser.oracle import minimize, oracle_min_coupling, project_to_couplings
-from qwasser.sampling import random_bloch_in_ball, random_bloch_on_sphere
+from qwasser.sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere
 from qwasser.states import state_from_bloch
 from qwasser.transport import self_distance_sq, solve_min_coupling
 
@@ -59,6 +59,32 @@ class TestOracleVsSolver:
                 sdp = solve_min_coupling(rho, omega, c).optimal_value
                 orc = oracle_min_coupling(rho, omega, c, seed=k)
                 assert orc.value == pytest.approx(sdp, abs=1e-5)
+
+    @staticmethod
+    def _criterion_9_pair(j):
+        rng = derived_rng(109, j)
+        return state_from_bloch(random_bloch_in_ball(rng)), state_from_bloch(random_bloch_in_ball(rng))
+
+    @pytest.mark.parametrize("j", [72, 96])
+    def test_stays_above_the_certified_lower_bound(self, j):
+        # one marginal near pure (1 - |b| = 1.3e-4 on pair 72, 1.8e-3 on pair 96): a
+        # coupling off its marginals by r can undercut the optimum by about |dual| r
+        rho, omega = self._criterion_9_pair(j)
+        for c in (C_SYM, C_Z):
+            sdp = solve_min_coupling(rho, omega, c)
+            orc = oracle_min_coupling(rho, omega, c, seed=j)
+            assert orc.value >= sdp.optimal_value - sdp.duality_gap_or_residual
+            assert orc.value == pytest.approx(sdp.optimal_value, abs=1e-8)
+            assert orc.marginal_residual <= 1e-11
+
+    def test_restart_that_broke_an_unguarded_warm_start(self):
+        # criterion 9's pair 1 under this restart seed: an inverse Hessian carried
+        # across the penalty rounds unscaled and with no reset reached condition
+        # 7e24 here, and the oracle ended 3.2e-5 below the solver
+        rho, omega = self._criterion_9_pair(1)
+        sdp = solve_min_coupling(rho, omega, C_Z).optimal_value
+        orc = oracle_min_coupling(rho, omega, C_Z, seed=1968031152)
+        assert orc.value == pytest.approx(sdp, abs=1e-8)
 
 
 class TestGradients:
@@ -150,14 +176,36 @@ class TestMinimize:
         x0, c, b = TestGradients._point_and_targets(12)
         return _al_objective, x0, (1e4, 2e4, *TestGradients._no_multipliers(), c, b)
 
-    def test_reaches_the_minimizer_of_a_convex_quadratic(self):
+    @staticmethod
+    def _quadratic():
+        """0.5 x.a.x - b.x with a positive definite, its Hessian a and a start."""
         rng = np.random.default_rng(11)
         q = rng.normal(size=(16, 16))
         a = q @ q.T + 0.5 * np.eye(16)
         b = rng.normal(size=16)
-        res = minimize(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), rng.normal(size=16), (),
-                       maxiter=200, gtol=1e-12)
+        return lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), a, b, rng.normal(size=16)
+
+    def test_reaches_the_minimizer_of_a_convex_quadratic(self):
+        fun, a, b, x0 = self._quadratic()
+        res = minimize(fun, x0, (), maxiter=200, gtol=1e-12)
         assert np.abs(res.x - np.linalg.solve(a, b)).max() <= 1e-9
+
+    def test_the_exact_inverse_hessian_takes_one_newton_step(self):
+        fun, a, b, x0 = self._quadratic()
+        h = np.linalg.inv(a)
+        res = minimize(fun, x0, (), maxiter=200, gtol=1e-12, h=h)
+        assert res.nit == 1
+        assert np.abs(res.x - np.linalg.solve(a, b)).max() <= 1e-9
+        assert np.array_equal(h, np.linalg.inv(a))  # the caller's h is not updated in place
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e40])
+    def test_an_inverse_hessian_that_yields_no_step_is_reset(self, scale):
+        # under 1e-40 I no step moves x, under 1e40 I all 41 trials overshoot:
+        # a run that kept either would stop at x0
+        fun, a, b, x0 = self._quadratic()
+        res = minimize(fun, x0, (), maxiter=200, gtol=1e-12, h=scale * np.eye(16))
+        assert np.abs(res.x - np.linalg.solve(a, b)).max() <= 1e-9
+        assert res.nfev > 41
 
     def test_objective_never_increases_and_maxiter_is_honoured(self):
         # the run capped at k steps ends at the k-th iterate of every longer run
