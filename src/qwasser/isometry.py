@@ -14,13 +14,13 @@ A candidate map is one of four kinds:
 
 `check_isometry` measures how well a map preserves a chosen transport metric
 on a stratified sample of state pairs (`check_isometries` does so for many
-maps with one batched solve); `satisfies_dz_condition` tests the
-Bloch-level characterization relevant to the single-sigma_z distance (length
-of the Bloch vector preserved, third coordinate globally fixed or globally
-negated); `theorem_crosscheck_dz` asserts that the two verdicts agree across
-sampled map families.  The samplers draw Bloch vectors in a fixed order and
-build each sample as one stack of states, which the harness maps and solves
-as one.
+maps with one batched solve, in which each seed's pairs are solved once);
+`satisfies_dz_condition` tests the Bloch-level characterization relevant to
+the single-sigma_z distance (length of the Bloch vector preserved, third
+coordinate globally fixed or globally negated); `theorem_crosscheck_dz`
+asserts that the two verdicts agree across sampled map families.  The
+samplers draw Bloch vectors in a fixed order and build each sample as one
+stack of states, which the harness maps and solves as one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import DomainError
 from .linalg import dagger
 from .sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
 from .states import PAULI, bloch_from_state, state_from_bloch, validate_state
-from .transport import divergence_breakdowns, solve_min_couplings
+from .transport import _optimal_values, divergence_breakdowns
 
 METRICS = ("D_sym", "D_z", "d_sym")
 
@@ -199,46 +199,81 @@ def sample_state_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
     return state_from_bloch(np.array(blochs[:n], dtype=float).reshape(-1, 2, 3))
 
 
-def _metric_values(metric: str, rhos, omegas) -> np.ndarray:
-    """The metric on each pair (rhos[i], omegas[i]), from one batched solve."""
-    if metric == "d_sym":
-        return np.array([b.divergence for b in divergence_breakdowns(rhos, omegas, sym_cost())])
+def _metric_values(metrics, rhos, omegas) -> dict:
+    """Each metric of `metrics` on each pair (rhos[i], omegas[i]), from one
+    batched solve: D_sym and d_sym share one `divergence_breakdowns` call."""
+    if "d_sym" in metrics:
+        breakdowns = divergence_breakdowns(rhos, omegas, sym_cost())
+        return {"D_sym": np.sqrt([b.distance_sq for b in breakdowns]),
+                "d_sym": np.array([b.divergence for b in breakdowns])}
+    (metric,) = metrics
     c = sym_cost() if metric == "D_sym" else z_cost()
-    return np.sqrt([r.optimal_value for r in solve_min_couplings(rhos, omegas, c)])
+    return {metric: np.sqrt(_optimal_values(rhos, omegas, c))}
+
+
+def _require_tol(tol) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+
+
+def _require_harness_args(state_maps: list, seeds: list, n_samples: int, tol) -> None:
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
+    _require_tol(tol)
+    if not 0 < len(state_maps) == len(seeds):
+        raise DomainError(f"{len(state_maps)} maps, {len(seeds)} seeds: need at least one map and a seed per map")
+
+
+def _sample_pairs(seeds: list, n_samples: int) -> dict:
+    """The sampled pairs of each distinct seed, drawn once."""
+    return {seed: sample_state_pairs(derived_rng(seed, 0), n_samples) for seed in dict.fromkeys(seeds)}
+
+
+def _isometry_reports(state_maps: list, seeds: list, samples: dict, images: list, metrics, tol) -> dict:
+    """{metric: an IsometryReport per map}, map k comparing the pairs
+    samples[seeds[k]] with their images images[k].  Each seed's pairs and
+    every image are solved once, in one batched solve."""
+    both = np.concatenate([*samples.values(), *images])
+    values = _metric_values(metrics, both[:, 0], both[:, 1])
+    row = {seed: i for i, seed in enumerate(samples)}
+    reports = {}
+    for metric in metrics:
+        by_sample = values[metric].reshape(len(samples) + len(images), -1)
+        reports[metric] = []
+        for k, (state_map, seed) in enumerate(zip(state_maps, seeds)):
+            dev = np.abs(by_sample[len(samples) + k] - by_sample[row[seed]])
+            worst = int(np.argmax(dev))
+            verdict = "isometry_within_tol" if dev[worst] <= tol else "violated"
+            reports[metric].append(
+                IsometryReport(
+                    map_id=state_map.label,
+                    metric=metric,
+                    samples=len(dev),
+                    max_abs_deviation=float(dev[worst]),
+                    verdict=verdict,
+                    witness_pair=(*samples[seed][worst], float(dev[worst])) if verdict == "violated" else None,
+                )
+            )
+    return reports
+
+
+def _check_isometries(state_maps: list, seeds: list, metrics, n_samples: int, tol) -> dict:
+    """{metric: `check_isometries` reports} for several metrics of one cost,
+    from one batched solve."""
+    _require_harness_args(state_maps, seeds, n_samples, tol)
+    samples = _sample_pairs(seeds, n_samples)
+    images = [apply_state_map(state_map, samples[seed]) for state_map, seed in zip(state_maps, seeds)]
+    return _isometry_reports(state_maps, seeds, samples, images, metrics, tol)
 
 
 def check_isometries(state_maps: list, seeds: list, metric: str, n_samples: int = 12, tol: float = 1e-5) -> list:
-    """`check_isometry` for each map, map k on the pairs of seed seeds[k];
-    every metric value comes from one batched solve."""
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
+    """`check_isometry` for each map, map k on the pairs of seed seeds[k].
+
+    Maps that share a seed share its pairs and their metric values; every
+    value comes from one batched solve."""
     if metric not in METRICS:
         raise DomainError(f"unknown metric {metric!r}; choose from {METRICS}")
-    if not 0 < len(state_maps) == len(seeds):
-        raise DomainError(f"{len(state_maps)} maps, {len(seeds)} seeds: need at least one map and a seed per map")
-    samples, stacks = [], []
-    for state_map, seed in zip(state_maps, seeds):
-        pairs = sample_state_pairs(derived_rng(seed, 0), n_samples)
-        samples.append(pairs)
-        stacks += [pairs, apply_state_map(state_map, pairs)]
-    both = np.concatenate(stacks)
-    values = _metric_values(metric, both[:, 0], both[:, 1]).reshape(len(state_maps), 2, -1)
-    reports = []
-    for state_map, pairs, (before, after) in zip(state_maps, samples, values):
-        dev = np.abs(after - before)
-        worst = int(np.argmax(dev))
-        verdict = "isometry_within_tol" if dev[worst] <= tol else "violated"
-        reports.append(
-            IsometryReport(
-                map_id=state_map.label,
-                metric=metric,
-                samples=len(pairs),
-                max_abs_deviation=float(dev[worst]),
-                verdict=verdict,
-                witness_pair=(*pairs[worst], float(dev[worst])) if verdict == "violated" else None,
-            )
-        )
-    return reports
+    return _check_isometries(state_maps, seeds, (metric,), n_samples, tol)[metric]
 
 
 def check_isometry(
@@ -248,7 +283,10 @@ def check_isometry(
     return check_isometries([state_map], [seed], metric, n_samples, tol)[0]
 
 
-def _dz_condition_samples(rng: np.random.Generator, n: int) -> np.ndarray:
+def _dz_condition_states(seed: int, n: int) -> np.ndarray:
+    """The states `dz_condition_report` samples: the fixed panel, two fixed
+    states, then alternately drawn ball and sphere states, at least 9."""
+    rng, n = derived_rng(seed, 1), max(n, 9)
     panel = fixed_panel_states()
     blochs = [(0.0, 0.0, 0.6), (0.3, -0.4, -0.5)]
     while len(panel) + len(blochs) < n:
@@ -257,18 +295,8 @@ def _dz_condition_samples(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.concatenate((panel, state_from_bloch(blochs)))[:n]
 
 
-def dz_condition_report(
-    state_map: StateMap, n_samples: int = 40, tol: float = 1e-5, seed: int = 0
-):
-    """Detailed version of `satisfies_dz_condition`: (holds, details dict).
-
-    The condition holds iff |b| is kept and one global sign s, tried +1 first,
-    gives |b3' - s b3| <= tol on every sampled row.  A failure names the
-    sign that fits best and its worst row as a witness."""
-    states = _dz_condition_samples(derived_rng(seed, 1), max(n_samples, 9))
-    b = bloch_from_state(states)
-    b_img = bloch_from_state(apply_state_map(state_map, states))
-
+def _dz_condition(b, b_img, tol):
+    """`dz_condition_report` on Bloch vectors b and their images b_img."""
     max_len_dev = float(np.abs(np.linalg.norm(b_img, axis=1) - np.linalg.norm(b, axis=1)).max())
     if not max_len_dev <= tol:
         return False, {"reason": "bloch-length-changed", "max_length_deviation": max_len_dev}
@@ -285,6 +313,19 @@ def dz_condition_report(
         "witness_bloch": tuple(b[i]),
         "image_bloch": tuple(b_img[i]),
     }
+
+
+def dz_condition_report(
+    state_map: StateMap, n_samples: int = 40, tol: float = 1e-5, seed: int = 0
+):
+    """Detailed version of `satisfies_dz_condition`: (holds, details dict).
+
+    The condition holds iff |b| is kept and one global sign s, tried +1 first,
+    gives |b3' - s b3| <= tol on every sampled row.  A failure names the
+    sign that fits best and its worst row as a witness."""
+    _require_tol(tol)
+    states = _dz_condition_states(seed, n_samples)
+    return _dz_condition(bloch_from_state(states), bloch_from_state(apply_state_map(state_map, states)), tol)
 
 
 def satisfies_dz_condition(
@@ -319,28 +360,46 @@ class CrosscheckReport:
         return [r for r in self.per_map if not r.agree]
 
 
+def _crosscheck_dz(map_samplers: list, n_maps: int, n_samples: int, tol: float, seed: int) -> list:
+    """`theorem_crosscheck_dz` for each sampler, from one batched solve.
+
+    Map k of every family uses seed + k, whose pairs and condition states are
+    drawn once; each map is applied once, to both."""
+    maps = [sampler(derived_rng(seed, 10_000 + k)) for sampler in map_samplers for k in range(n_maps)]
+    seeds = [seed + k for k in range(n_maps)] * len(map_samplers)
+    _require_harness_args(maps, seeds, n_samples, tol)
+    samples = _sample_pairs(seeds, n_samples)
+    states = {s: _dz_condition_states(s, max(3 * n_samples, 24)) for s in samples}
+    blochs = {s: bloch_from_state(states[s]) for s in samples}
+    images, conditions = [], []
+    for state_map, s in zip(maps, seeds):
+        pair_states = samples[s].reshape(-1, 2, 2)
+        both = apply_state_map(state_map, np.concatenate((pair_states, states[s])))
+        images.append(both[:len(pair_states)].reshape(samples[s].shape))
+        conditions.append(_dz_condition(blochs[s], bloch_from_state(both[len(pair_states):]), tol)[0])
+    reports = _isometry_reports(maps, seeds, samples, images, ("D_z",), tol)["D_z"]
+    per_map = [
+        MapAgreement(
+            map_id=state_map.label,
+            isometry_verdict=report.verdict,
+            condition_holds=holds,
+            agree=(report.verdict == "isometry_within_tol") == holds,
+            max_abs_deviation=report.max_abs_deviation,
+            witness=report.witness_pair,
+        )
+        for state_map, report, holds in zip(maps, reports, conditions)
+    ]
+    return [
+        CrosscheckReport(n_maps, sum(r.agree for r in family), family)
+        for family in (per_map[i:i + n_maps] for i in range(0, len(per_map), n_maps))
+    ]
+
+
 def theorem_crosscheck_dz(
     map_sampler: Callable, n_maps: int = 50, n_samples: int = 12, tol: float = 1e-5, seed: int = 0
 ) -> CrosscheckReport:
     """For sampled maps, assert the metric check and the Bloch-level condition agree."""
-    maps = [map_sampler(derived_rng(seed, 10_000 + k)) for k in range(n_maps)]
-    seeds = [seed + k for k in range(n_maps)]
-    reports = check_isometries(maps, seeds, "D_z", n_samples, tol)
-    per_map = []
-    for state_map, report, map_seed in zip(maps, reports, seeds):
-        holds, _ = dz_condition_report(state_map, max(3 * n_samples, 24), tol, map_seed)
-        is_isometry = report.verdict == "isometry_within_tol"
-        per_map.append(
-            MapAgreement(
-                map_id=state_map.label,
-                isometry_verdict=report.verdict,
-                condition_holds=holds,
-                agree=is_isometry == holds,
-                max_abs_deviation=report.max_abs_deviation,
-                witness=report.witness_pair,
-            )
-        )
-    return CrosscheckReport(n_maps, sum(r.agree for r in per_map), per_map)
+    return _crosscheck_dz([map_sampler], n_maps, n_samples, tol, seed)[0]
 
 
 # ---------------------------------------------------------------------------

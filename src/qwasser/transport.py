@@ -470,8 +470,9 @@ def _solve_barrier(rhos, omegas, cmat, prod_val, cfg: SolverConfig):
 
 
 def _solve(rhos, omegas, c, cfg: SolverConfig):
-    """`solve_min_couplings` on validated (N, 2, 2) stacks; also returns the
-    mask of pairs taken as identical states."""
+    """`solve_min_couplings` on validated (N, 2, 2) stacks, as per-pair
+    arrays: values, coupling matrices, status list, gaps and iterations, and
+    the mask of pairs taken as identical states."""
     cmat = cost_matrix(c)
     rho_ts = np.ascontiguousarray(rhos.transpose(0, 2, 1))
     n = len(rhos)
@@ -496,19 +497,16 @@ def _solve(rhos, omegas, c, cfg: SolverConfig):
         )
         mats[block[wins]] = pi[wins]
 
-    value = np.maximum(value, 0.0)
     closed = identical | pure
-    results = [
-        TransportResult(
-            float(value[i]),
-            Coupling(mats[i], omegas[i], rho_ts[i]),
-            "closed_form" if closed[i] else "converged" if gap[i] <= cfg.tolerance else "max_iterations",
-            float(gap[i]),
-            int(iters[i]),
-        )
-        for i in range(n)
-    ]
-    return results, identical
+    status = ["closed_form" if closed[i] else "converged" if gap[i] <= cfg.tolerance else "max_iterations"
+              for i in range(n)]
+    return np.maximum(value, 0.0), mats, status, gap, iters, identical
+
+
+def _optimal_values(rhos, omegas, c, config: SolverConfig = SolverConfig()) -> np.ndarray:
+    """The `optimal_value` of each `solve_min_couplings` result, without
+    building the results."""
+    return _solve(*_state_stacks(rhos, omegas), c, config)[0]
 
 
 def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> list:
@@ -523,7 +521,14 @@ def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> 
     iterate in another grouping; its gap still bounds that iterate.
     """
     cfg = config if config is not None else SolverConfig()
-    return _solve(*_state_stacks(rhos, omegas), c, cfg)[0]
+    rhos, omegas = _state_stacks(rhos, omegas)
+    value, mats, status, gap, iters, _ = _solve(rhos, omegas, c, cfg)
+    rho_ts = rhos.transpose(0, 2, 1)
+    return [
+        TransportResult(float(value[i]), Coupling(mats[i], omegas[i], rho_ts[i]), status[i], float(gap[i]),
+                        int(iters[i]))
+        for i in range(len(rhos))
+    ]
 
 
 def solve_min_coupling(rho, omega, c, config: SolverConfig | None = None) -> TransportResult:
@@ -562,11 +567,11 @@ def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -
     batched transport solve and one self-distance call per side."""
     cfg = config if config is not None else SolverConfig()
     rhos, omegas = _state_stacks(rhos, omegas)
-    results, identical = _solve(rhos, omegas, c, cfg)
+    value, _, status, _, _, identical = _solve(rhos, omegas, c, cfg)
     s1, s2 = _self_distance_sq(rhos, c), _self_distance_sq(omegas, c)
     # Identical states take s1 as their distance and as s2, so that the
     # radicand cancels to exactly zero.
-    dist = np.where(identical, s1, [r.optimal_value for r in results])
+    dist = np.where(identical, s1, value)
     s2 = np.where(identical, s1, s2)
     radicand = dist - 0.5 * (s1 + s2)
     if (radicand < -10.0 * cfg.tolerance).any():
@@ -576,8 +581,8 @@ def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -
         )
     div = np.sqrt(np.maximum(radicand, 0.0))
     return [
-        DivergenceBreakdown(float(d), float(a), float(b), float(r), float(x), res.solver_status)
-        for d, a, b, r, x, res in zip(dist, s1, s2, radicand, div, results)
+        DivergenceBreakdown(float(d), float(a), float(b), float(r), float(x), st)
+        for d, a, b, r, x, st in zip(dist, s1, s2, radicand, div, status)
     ]
 
 

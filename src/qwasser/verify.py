@@ -5,10 +5,12 @@ solver, and returns its checks; `run_suite` fills in the suite's default
 samples and tolerance, checks the arguments, and builds the `SuiteResult` the
 CLI serializes.  Per-sample
 random streams are derived from (seed, counter).  A suite draws its pairs
-first and solves them together in batched calls (`solve_min_couplings`,
-`divergence_breakdowns`, `check_isometries`), whose certified per-pair results
-do not depend on the grouping.  Solves run at the solver defaults, except the
-`sdp` self-distances, which are forced through the barrier (`_FORCED`).
+first and solves each distinct pair once, in batched calls whose certified
+per-pair results do not depend on the grouping: `dz-theorem` checks all its
+map families in one crosscheck, and `dsym-isometries` and `sym-closed-forms`
+read distance and divergence off one `divergence_breakdowns` call.  Solves
+run at the solver defaults, except the `sdp` self-distances, which are forced
+through the barrier (`_FORCED`).
 
 Both closed-form suites and the CLI's `selfdist-table` take every
 self-distance value from `self_distance_table`, with one batched solve.
@@ -25,11 +27,11 @@ from .cost import sym_cost, z_cost
 from .errors import DomainError
 from .isometry import (
     MAP_FAMILIES,
-    check_isometries,
+    _check_isometries,
+    _crosscheck_dz,
     sample_non_rigid_map,
     sample_wigner_map,
     sample_z_phase_field_map,
-    theorem_crosscheck_dz,
 )
 from .sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere
 from .states import bloch_from_state, state_from_bloch
@@ -37,11 +39,11 @@ from .transport import (
     SYM_PUBLISHED_SCALE,
     Z_PUBLISHED_SCALE,
     SolverConfig,
+    _optimal_values,
     coupling_cost,
     divergence_breakdowns,
     self_distance_sq,
     solve_min_coupling,
-    solve_min_couplings,
     sym_self_distance_sq_closed,
     z_self_distance_sq_closed,
 )
@@ -86,10 +88,6 @@ def _check(name, deviations, tolerance, witnesses=None, notes="") -> CheckResult
         witnesses=witnesses or [],
         notes=notes,
     )
-
-
-def _values(results) -> np.ndarray:
-    return np.array([r.optimal_value for r in results])
 
 
 def _pure_pairs(seed: int, samples: int) -> np.ndarray:
@@ -140,7 +138,7 @@ def self_distance_table(blochs, cost: str, norms=None) -> dict:
         "selfdist_sq_purification": self_distance_sq(rhos, c),
         "selfdist_sq_closed_form": closed,
         "selfdist_sq_published_form": scale * closed,
-        "selfdist_sq_sdp": _values(solve_min_couplings(rhos, rhos, c, _FORCED)),
+        "selfdist_sq_sdp": _optimal_values(rhos, rhos, c, _FORCED),
     }
 
 
@@ -169,8 +167,7 @@ def _sym_closed_forms(samples: int, seed: int, tolerance: float) -> list:
 
     b1, b2 = _pure_pairs(seed, samples)
     r1, r2 = state_from_bloch(b1), state_from_bloch(b2)
-    costs = _values(solve_min_couplings(r1, r2, c))
-    divs = np.array([d.divergence for d in divergence_breakdowns(r1, r2, c)])
+    costs, divs = np.array([(d.distance_sq, d.divergence) for d in divergence_breakdowns(r1, r2, c)]).T
     cost_devs = np.abs(costs - (6.0 - 2.0 * (b1 * b2).sum(axis=1)))
     div_devs = np.abs(divs - np.linalg.norm(b1 - b2, axis=1))
 
@@ -194,13 +191,13 @@ def _z_closed_forms(samples: int, seed: int, tolerance: float) -> list:
     c = z_cost()
 
     b1, b2 = _pure_pairs(seed, samples)
-    costs = _values(solve_min_couplings(state_from_bloch(b1), state_from_bloch(b2), c))
+    costs = _optimal_values(state_from_bloch(b1), state_from_bloch(b2), c)
     pair_devs = np.abs(costs - (2.0 - 2.0 * b1[:, 2] * b2[:, 2]))
 
     tu = np.array([derived_rng(seed, 30_000 + i).uniform(-0.98, 0.98, size=2)
                    for i in range(min(samples, 100))]).reshape(-1, 2)
     diag = state_from_bloch(np.stack((np.zeros_like(tu), np.zeros_like(tu), tu), axis=-1))
-    diag_vals = _values(solve_min_couplings(diag[:, 0], diag[:, 1], c))
+    diag_vals = _optimal_values(diag[:, 0], diag[:, 1], c)
     diag_devs = np.abs(diag_vals - 2.0 * np.abs(tu[:, 0] - tu[:, 1]))
 
     poles = solve_min_coupling(
@@ -219,17 +216,19 @@ def _dsym_isometries(samples: int, seed: int, tolerance: float) -> list:
     """Unitary and antiunitary conjugations preserve both the distance and the
     divergence of the all-Pauli cost; non-rigid maps are caught with witnesses."""
     wigner = [sample_wigner_map(derived_rng(seed, i)) for i in range(samples)]
-    seeds = [seed + i for i in range(samples)]
-    dist = check_isometries(wigner, seeds, "D_sym", 8, tolerance)
-    div = check_isometries(wigner, seeds, "d_sym", 8, tolerance)
-    wigner_devs = [max(a.max_abs_deviation, b.max_abs_deviation) for a, b in zip(dist, div)]
-
     n_adv = max(4, samples // 10)
     adversarial = []
     for i in range(n_adv):
         rng = derived_rng(seed, 50_000 + i)
         adversarial.append(sample_z_phase_field_map(rng) if i % 2 else sample_non_rigid_map(rng))
-    reports = check_isometries(adversarial, [seed + i for i in range(n_adv)], "d_sym", 8, 1e-4)
+    # Non-rigid map i uses Wigner map i's seed, so both share its pairs, and
+    # one solve gives D_sym and d_sym for all.  Only the non-rigid verdicts
+    # are read, at their own tolerance; the Wigner check reads deviations.
+    seeds = [seed + i for i in range(samples)] + [seed + i for i in range(n_adv)]
+    by_metric = _check_isometries(wigner + adversarial, seeds, ("D_sym", "d_sym"), 8, 1e-4)
+    wigner_devs = [max(a.max_abs_deviation, b.max_abs_deviation)
+                   for a, b in zip(by_metric["D_sym"][:samples], by_metric["d_sym"][:samples])]
+    reports = by_metric["d_sym"][samples:]
     missed = [i for i, r in enumerate(reports) if r.verdict != "violated"]
     witnesses = []
     for state_map, report in zip(adversarial, reports):
@@ -260,8 +259,8 @@ def _dz_theorem(samples: int, seed: int, tolerance: float) -> list:
     """Metric-level and Bloch-level characterizations of sigma_z-cost isometries
     agree on every sampled map family."""
     checks = []
-    for name, sampler in MAP_FAMILIES.items():
-        report = theorem_crosscheck_dz(sampler, n_maps=samples, n_samples=10, tol=tolerance, seed=seed)
+    reports = _crosscheck_dz(list(MAP_FAMILIES.values()), samples, 10, tolerance, seed)
+    for name, report in zip(MAP_FAMILIES, reports):
         witnesses = [{"map": r.map_id, "isometry": r.isometry_verdict, "condition": r.condition_holds}
                      for r in report.disagreements]
         extra_ok = True

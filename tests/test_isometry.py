@@ -296,7 +296,7 @@ class TestCheckIsometry:
             discontinuous_z_phase_field_map(),
             bloch_self_map(lambda b: 0.6 * b, "shrink"),
         ]
-        seeds = [5, 6, 7, 8]
+        seeds = [5, 6, 5, 8]  # maps 0 and 2 share their pairs
         for metric in METRICS:
             together = check_isometries(maps, seeds, metric, n_samples=6)
             for state_map, seed, report in zip(maps, seeds, together):
@@ -317,6 +317,16 @@ BAD_HARNESS_CALLS = {
     "too-many-seeds": lambda: check_isometries([IDENTITY_MAP], [0, 1], "D_sym"),
     "no-samples": lambda: check_isometries([IDENTITY_MAP], [0], "d_sym", n_samples=0),
     "crosscheck-no-maps": lambda: theorem_crosscheck_dz(MAP_FAMILIES["z_rotations"], n_maps=0),
+    # a NaN tol called every map violated, an infinite one every map an isometry
+    "nan-tol": lambda: check_isometry(IDENTITY_MAP, "D_z", tol=math.nan),
+    "negative-tol": lambda: check_isometries([IDENTITY_MAP], [0], "d_sym", tol=-1e-5),
+    "zero-tol": lambda: check_isometries([IDENTITY_MAP], [0], "D_sym", tol=0.0),
+    "infinite-tol": lambda: check_isometry(bloch_self_map(lambda b: 0.5 * b, "shrink"), "D_z", tol=math.inf),
+    "crosscheck-nan-tol": lambda: theorem_crosscheck_dz(MAP_FAMILIES["adversarial"], n_maps=2, tol=math.nan),
+    "crosscheck-infinite-tol": lambda: theorem_crosscheck_dz(MAP_FAMILIES["adversarial"], n_maps=2, tol=math.inf),
+    "condition-nan-tol": lambda: dz_condition_report(IDENTITY_MAP, tol=math.nan),
+    "condition-negative-tol": lambda: satisfies_dz_condition(IDENTITY_MAP, tol=-1.0),
+    "condition-infinite-tol": lambda: satisfies_dz_condition(IDENTITY_MAP, tol=math.inf),
 }
 
 
@@ -347,6 +357,18 @@ class TestCrosscheck:
     def test_families_agree(self, family):
         report = theorem_crosscheck_dz(MAP_FAMILIES[family], n_maps=8, n_samples=8, seed=9)
         assert report.all_agree, report.disagreements
+
+    def test_families_checked_together_match_one_family_crosschecks(self):
+        from qwasser.isometry import _crosscheck_dz
+
+        together = _crosscheck_dz(list(MAP_FAMILIES.values()), n_maps=4, n_samples=6, tol=1e-5, seed=13)
+        for sampler, report in zip(MAP_FAMILIES.values(), together):
+            alone = theorem_crosscheck_dz(sampler, n_maps=4, n_samples=6, seed=13)
+            assert (report.n_maps, report.n_agreements) == (alone.n_maps, alone.n_agreements)
+            for a, b in zip(report.per_map, alone.per_map):
+                assert (a.map_id, a.isometry_verdict, a.condition_holds, a.agree) == (
+                    b.map_id, b.isometry_verdict, b.condition_holds, b.agree)
+                assert a.max_abs_deviation == pytest.approx(b.max_abs_deviation, abs=1e-9)
 
     def test_adversarial_produce_witnesses(self):
         report = theorem_crosscheck_dz(MAP_FAMILIES["adversarial"], n_maps=8, n_samples=8, seed=10)

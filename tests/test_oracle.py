@@ -78,13 +78,35 @@ class TestOracleVsSolver:
             assert orc.marginal_residual <= 1e-11
 
     def test_restart_that_broke_an_unguarded_warm_start(self):
-        # criterion 9's pair 1 under this restart seed: an inverse Hessian carried
-        # across the penalty rounds unscaled and with no reset reached condition
-        # 7e24 here, and the oracle ended 3.2e-5 below the solver
+        # criterion 9's pair 1 under this restart seed, where an early carried
+        # inverse Hessian ended the oracle 3.2e-5 below the solver: the oracle
+        # as built agrees with the solver to 1e-8.  It does so also without
+        # the scaling of the carried H and without its reset, so the count
+        # guard below, not this test, catches their removal.
         rho, omega = self._criterion_9_pair(1)
         sdp = solve_min_coupling(rho, omega, C_Z).optimal_value
         orc = oracle_min_coupling(rho, omega, C_Z, seed=1968031152)
         assert orc.value == pytest.approx(sdp, abs=1e-8)
+
+    def test_carried_curvature_keeps_the_evaluation_count(self, monkeypatch):
+        # objective evaluations over criterion 9's pairs 0-3, both costs: 6827
+        # as built, 11,704 with the carried H not scaled by lam_h / lam_m, and
+        # 15,441 with no H carried across the penalty rounds
+        import qwasser.oracle
+
+        nfev = []
+
+        def counted(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(qwasser.oracle, "minimize", counted)
+        for j in range(4):
+            rho, omega = self._criterion_9_pair(j)
+            for c in (C_SYM, C_Z):
+                oracle_min_coupling(rho, omega, c, seed=j)
+        assert sum(nfev) <= 8000, sum(nfev)
 
 
 class TestGradients:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qwasser import transport
 from qwasser.cli import main
 from qwasser.cost import sym_cost, z_cost
 from qwasser.errors import DomainError
@@ -56,6 +57,25 @@ def test_seed0_default_figures_are_pinned(suite):
     result = run_suite(suite)
     assert result.passed
     assert [(c.name, c.samples, c.max_deviation) for c in result.checks] == SEED0_FIGURES[suite]
+
+
+@pytest.mark.parametrize("suite", ["dsym-isometries", "dz-theorem"])
+def test_isometry_suites_solve_each_pair_once(suite, monkeypatch):
+    # maps on one seed share their pairs' solves, and D_sym and d_sym come
+    # from one solve: each barrier lane is a pair (and cost) not seen before
+    # in the run.  Solving each map family and metric apart sent 1060 lanes
+    # for 660 distinct pairs through dz-theorem, 222 for 117 through
+    # dsym-isometries.
+    seen = []
+    solve_barrier = transport._solve_barrier
+
+    def recorded(rhos, omegas, cmat, prod_val, cfg):
+        seen.extend(r.tobytes() + o.tobytes() + cmat.tobytes() for r, o in zip(rhos, omegas))
+        return solve_barrier(rhos, omegas, cmat, prod_val, cfg)
+
+    monkeypatch.setattr(transport, "_solve_barrier", recorded)
+    assert run_suite(suite).passed
+    assert seen and len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize(
