@@ -220,7 +220,7 @@ def _cmd_selfdist_table(args) -> int:
         if steps < 0:
             raise DomainError(f"{flag} must be >= 0, got {steps}")
     norms = np.repeat(np.linspace(0.0, 1.0, args.norm_steps), args.b3_steps)
-    b3 = norms * np.tile(np.linspace(-1.0, 1.0, args.b3_steps), args.norm_steps)
+    b3 = norms * np.tile(np.linspace(-1.0, 1.0, args.b3_steps), args.norm_steps) + 0.0  # -0.0 -> 0.0
     bx = np.sqrt(np.maximum(norms * norms - b3 * b3, 0.0))
     blochs = np.stack((bx, np.zeros_like(bx), b3), axis=1)
     table = self_distance_table(blochs, args.cost, norms=norms)

@@ -225,7 +225,7 @@ def _dsym_isometries(samples: int, seed: int, tolerance: float) -> list:
     # one solve gives D_sym and d_sym for all.  Only the non-rigid verdicts
     # are read, at their own tolerance; the Wigner check reads deviations.
     seeds = [seed + i for i in range(samples)] + [seed + i for i in range(n_adv)]
-    by_metric = _check_isometries(wigner + adversarial, seeds, ("D_sym", "d_sym"), 8, 1e-4)
+    by_metric = _check_isometries(wigner + adversarial, seeds, ("D_sym", "d_sym"), 8, 1e-4)[0]
     wigner_devs = [max(a.max_abs_deviation, b.max_abs_deviation)
                    for a, b in zip(by_metric["D_sym"][:samples], by_metric["d_sym"][:samples])]
     reports = by_metric["d_sym"][samples:]
@@ -333,7 +333,7 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, tolerance: f
     """Run suite `name`; `samples` and `tolerance` default per suite.
 
     Raises DomainError for an unknown suite, samples < 1, a tolerance that is
-    not positive and finite, or a negative seed."""
+    not positive and finite, or a seed that `derived_rng` rejects."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     checks, default_samples, default_tolerance = _SUITES[name]
@@ -343,6 +343,4 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, tolerance: f
         raise DomainError(f"samples must be >= 1, got {samples}")
     if not 0.0 < tolerance < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
     return SuiteResult(name, samples, seed, tolerance, checks(samples, seed, tolerance))

@@ -185,7 +185,8 @@ class TestSelfdistTable:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 9
         by_key = {(row["bloch_norm"], row["b3"]): row for row in rows}
-        center = by_key[("0", "-0")] if ("0", "-0") in by_key else by_key[("0", "0")]
+        assert "-0" not in {row["b3"] for row in rows}  # 0 * -1 gave a "-0" centre row
+        center = by_key[("0", "0")]
         assert float(center["selfdist_sq_purification"]) == pytest.approx(0.0, abs=1e-9)
         equator = by_key[("1", "0")]
         assert float(equator["selfdist_sq_purification"]) == pytest.approx(2.0, abs=1e-9)

@@ -327,6 +327,12 @@ BAD_HARNESS_CALLS = {
     "condition-nan-tol": lambda: dz_condition_report(IDENTITY_MAP, tol=math.nan),
     "condition-negative-tol": lambda: satisfies_dz_condition(IDENTITY_MAP, tol=-1.0),
     "condition-infinite-tol": lambda: satisfies_dz_condition(IDENTITY_MAP, tol=math.inf),
+    # a negative seed reached numpy's ValueError, a float seed or n_samples a TypeError
+    "negative-seed": lambda: check_isometry(IDENTITY_MAP, "D_z", seed=-1),
+    "crosscheck-negative-seed": lambda: theorem_crosscheck_dz(MAP_FAMILIES["z_rotations"], n_maps=2, seed=-3),
+    "condition-negative-seed": lambda: dz_condition_report(IDENTITY_MAP, seed=-1),
+    "float-seed": lambda: check_isometry(IDENTITY_MAP, "D_sym", seed=1.5),
+    "float-samples": lambda: check_isometries([IDENTITY_MAP], [0], "D_z", n_samples=2.5),
 }
 
 
@@ -334,6 +340,11 @@ BAD_HARNESS_CALLS = {
 def test_bad_harness_arguments_are_domain_errors(call):
     with pytest.raises(DomainError):
         BAD_HARNESS_CALLS[call]()
+
+
+def test_numpy_integer_seed_and_samples_are_accepted():
+    report = check_isometry(IDENTITY_MAP, "D_z", n_samples=np.int64(3), seed=np.int64(2))
+    assert report == check_isometry(IDENTITY_MAP, "D_z", n_samples=3, seed=2)
 
 
 class TestWignerClosure:
@@ -369,6 +380,14 @@ class TestCrosscheck:
                 assert (a.map_id, a.isometry_verdict, a.condition_holds, a.agree) == (
                     b.map_id, b.isometry_verdict, b.condition_holds, b.agree)
                 assert a.max_abs_deviation == pytest.approx(b.max_abs_deviation, abs=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(MAP_FAMILIES))
+    def test_crosscheck_condition_matches_the_standalone_condition(self, family):
+        # the crosscheck reads each condition off the harness's apply-once path
+        report = theorem_crosscheck_dz(MAP_FAMILIES[family], n_maps=4, n_samples=6, seed=13)
+        for k, r in enumerate(report.per_map):
+            state_map = MAP_FAMILIES[family](derived_rng(13, 10_000 + k))
+            assert r.condition_holds == satisfies_dz_condition(state_map, 24, 1e-5, 13 + k)
 
     def test_adversarial_produce_witnesses(self):
         report = theorem_crosscheck_dz(MAP_FAMILIES["adversarial"], n_maps=8, n_samples=8, seed=10)
