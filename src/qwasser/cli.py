@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from .cost import CostOperator, build_cost, sym_cost, z_cost
-from .errors import ContractViolation, DomainError, QwasserError
+from .errors import ContractViolation, DomainError, QwasserError, require_integer
 from .states import NAMED_BLOCH, named_state, state_from_bloch, validate_state
 from .transport import SolverConfig, divergence_breakdown, solve_min_coupling
 from .verify import SUITE_NAMES, run_suite, self_distance_table
@@ -217,8 +217,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_selfdist_table(args) -> int:
     for flag, steps in (("--norm-steps", args.norm_steps), ("--b3-steps", args.b3_steps)):
-        if steps < 0:
-            raise DomainError(f"{flag} must be >= 0, got {steps}")
+        require_integer(flag, steps, 0)
     norms = np.repeat(np.linspace(0.0, 1.0, args.norm_steps), args.b3_steps)
     b3 = norms * np.tile(np.linspace(-1.0, 1.0, args.b3_steps), args.norm_steps) + 0.0  # -0.0 -> 0.0
     bx = np.sqrt(np.maximum(norms * norms - b3 * b3, 0.0))

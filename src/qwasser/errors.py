@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the numeric-argument checks."""
+
+import math
+from numbers import Integral
 
 
 class QwasserError(Exception):
@@ -19,3 +22,15 @@ class InternalConsistencyError(QwasserError):
 
 class SolverAccuracyError(QwasserError):
     """The optimizer did not reach the accuracy a derived result requires."""
+
+
+def require_integer(name: str, value, minimum: int) -> None:
+    """DomainError unless `value` is an int or numpy integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_positive(name: str, value) -> None:
+    """DomainError unless 0 < value < inf, so NaN is rejected too."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .cost import UNITARY_TOL, require_unitary, sym_cost, unitarity_defect, z_cost
-from .errors import DomainError
+from .errors import DomainError, require_integer, require_positive
 from .linalg import dagger
 from .sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
 from .states import PAULI, bloch_from_state, state_from_bloch, validate_state
@@ -182,6 +182,7 @@ def sample_state_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
     """Stratified state pairs as an (n, 2, 2, 2) stack, pairs[i] = (rho, omega):
     the pole pair, the center, then cycles of pure/pure, pure/mixed,
     mixed/mixed, and mixed self-pairs."""
+    require_integer("n", n, 0)
     blochs = [((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))]
     k = 0
     while len(blochs) < n:
@@ -211,11 +212,6 @@ def _metric_values(metrics, rhos, omegas) -> dict:
     return {metric: np.sqrt(_optimal_values(rhos, omegas, c))}
 
 
-def _require_tol(tol) -> None:
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-
-
 def _check_isometries(state_maps: list, seeds: list, metrics, n_samples: int, tol, n_states: int = 0) -> tuple:
     """({metric: an IsometryReport per map}, [the D_z condition per map, or None]).
 
@@ -225,9 +221,8 @@ def _check_isometries(state_maps: list, seeds: list, metrics, n_samples: int, to
     and every pair before and after the maps is solved in one batched solve."""
     if not set(metrics) <= set(METRICS):
         raise DomainError(f"unknown metric in {metrics}; choose from {METRICS}")
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise DomainError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    _require_tol(tol)
+    require_integer("n_samples", n_samples, 1)
+    require_positive("tol", tol)
     if not 0 < len(state_maps) == len(seeds):
         raise DomainError(f"{len(state_maps)} maps, {len(seeds)} seeds: need at least one map and a seed per map")
     n_pair_states = 2 * n_samples
@@ -319,7 +314,8 @@ def dz_condition_report(
     The condition holds iff |b| is kept and one global sign s, tried +1 first,
     gives |b3' - s b3| <= tol on every sampled row.  A failure names the
     sign that fits best and its worst row as a witness."""
-    _require_tol(tol)
+    require_integer("n_samples", n_samples, 1)
+    require_positive("tol", tol)
     states = _dz_condition_states(seed, n_samples)
     return _dz_condition(bloch_from_state(states), bloch_from_state(apply_state_map(state_map, states)), tol)
 
@@ -359,6 +355,7 @@ class CrosscheckReport:
 def _crosscheck_dz(map_samplers: list, n_maps: int, n_samples: int, tol: float, seed: int) -> list:
     """`theorem_crosscheck_dz` for each sampler, from one harness call; map k
     of every family uses seed + k."""
+    require_integer("n_maps", n_maps, 1)
     maps = [sampler(derived_rng(seed, 10_000 + k)) for sampler in map_samplers for k in range(n_maps)]
     seeds = [seed + k for k in range(n_maps)] * len(map_samplers)
     reports, conditions = _check_isometries(maps, seeds, ("D_z",), n_samples, tol, max(3 * n_samples, 24))

@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import require_integer
 
 
 def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator for sample `index` of run `seed`, both
     non-negative integers (numpy integers too); anything else is a DomainError."""
-    for name, value in (("seed", seed), ("index", index)):
-        if not isinstance(value, (int, np.integer)) or value < 0:
-            raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    require_integer("seed", seed, 0)
+    require_integer("index", index, 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 

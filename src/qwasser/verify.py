@@ -18,13 +18,12 @@ self-distance value from `self_distance_table`, with one batched solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cost import sym_cost, z_cost
-from .errors import DomainError
+from .errors import DomainError, require_integer, require_positive
 from .isometry import (
     MAP_FAMILIES,
     _check_isometries,
@@ -332,15 +331,14 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, samples: int | None = None, seed: int = 0, tolerance: float | None = None) -> SuiteResult:
     """Run suite `name`; `samples` and `tolerance` default per suite.
 
-    Raises DomainError for an unknown suite, samples < 1, a tolerance that is
-    not positive and finite, or a seed that `derived_rng` rejects."""
+    Raises DomainError for an unknown suite, samples that are not an integer
+    >= 1, a tolerance that is not positive and finite, or a seed that
+    `derived_rng` rejects."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     checks, default_samples, default_tolerance = _SUITES[name]
     samples = default_samples if samples is None else samples
     tolerance = default_tolerance if tolerance is None else tolerance
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    if not 0.0 < tolerance < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tolerance}")
+    require_integer("samples", samples, 1)
+    require_positive("tolerance", tolerance)
     return SuiteResult(name, samples, seed, tolerance, checks(samples, seed, tolerance))

@@ -216,7 +216,8 @@ class TestSelfdistTable:
         )
         assert code == 0
         assert out == ""
-        rows = list(csv.DictReader(path.open()))
+        with path.open() as f:
+            rows = list(csv.DictReader(f))
         assert rows and rows[0]["schema_version"] == "1"
 
     def test_no_norm_steps_prints_the_header_only(self, capsys):

@@ -42,7 +42,8 @@ from qwasser.sampling import (
 )
 from qwasser.states import PAULI, bloch_from_state, state_from_bloch
 from qwasser.cost import z_cost
-from qwasser.transport import solve_min_coupling
+from qwasser.transport import SolverConfig, solve_min_coupling
+from qwasser.verify import run_suite
 
 
 def rot_x(theta):
@@ -333,6 +334,15 @@ BAD_HARNESS_CALLS = {
     "condition-negative-seed": lambda: dz_condition_report(IDENTITY_MAP, seed=-1),
     "float-seed": lambda: check_isometry(IDENTITY_MAP, "D_sym", seed=1.5),
     "float-samples": lambda: check_isometries([IDENTITY_MAP], [0], "D_z", n_samples=2.5),
+    # a float count reached a TypeError in range or a slice, and a bool or a
+    # count below the minimum passed unchecked
+    "crosscheck-float-maps": lambda: theorem_crosscheck_dz(MAP_FAMILIES["z_rotations"], n_maps=2.0),
+    "condition-float-samples": lambda: dz_condition_report(IDENTITY_MAP, n_samples=40.5),
+    "condition-no-samples": lambda: dz_condition_report(IDENTITY_MAP, n_samples=0),
+    "bool-samples": lambda: check_isometry(IDENTITY_MAP, "D_z", n_samples=True),
+    "bool-seed": lambda: check_isometry(IDENTITY_MAP, "D_z", seed=True),
+    "negative-pair-count": lambda: sample_state_pairs(derived_rng(0), -1),
+    "float-pair-count": lambda: sample_state_pairs(derived_rng(0), 2.5),
 }
 
 
@@ -345,6 +355,9 @@ def test_bad_harness_arguments_are_domain_errors(call):
 def test_numpy_integer_seed_and_samples_are_accepted():
     report = check_isometry(IDENTITY_MAP, "D_z", n_samples=np.int64(3), seed=np.int64(2))
     assert report == check_isometry(IDENTITY_MAP, "D_z", n_samples=3, seed=2)
+    result = run_suite("divergence-triangle", samples=np.int64(3), seed=np.int64(1))
+    assert result.checks == run_suite("divergence-triangle", samples=3, seed=1).checks
+    assert SolverConfig(max_iterations=np.int64(7)) == SolverConfig(max_iterations=7)
 
 
 class TestWignerClosure:

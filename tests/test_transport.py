@@ -309,6 +309,12 @@ class TestSolver:
         with pytest.raises(DomainError):
             SolverConfig(tolerance=tolerance)
 
+    @pytest.mark.parametrize("max_iterations", [math.nan, math.inf, 2.5, True])
+    def test_config_rejects_non_integer_max_iterations(self, max_iterations):
+        # NaN stopped the solve after 0 Newton steps, 2.5 ran 3, inf set no step limit
+        with pytest.raises(DomainError, match="max_iterations"):
+            SolverConfig(max_iterations=max_iterations)
+
 
 class TestSelfDistance:
     def test_pure_sym_is_4(self):

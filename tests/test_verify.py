@@ -127,6 +127,13 @@ BAD_SUITE_ARGUMENTS = [
 ]
 
 
+# Library-only: argparse types --samples as int, so the CLI cannot pass these.
+@pytest.mark.parametrize("samples", [2.5, math.nan, math.inf, True])
+def test_non_integer_samples_are_domain_errors(samples):
+    with pytest.raises(DomainError, match="samples"):
+        run_suite("dz-theorem", samples=samples)
+
+
 @pytest.mark.parametrize("kwargs,flags", BAD_SUITE_ARGUMENTS)
 def test_bad_suite_arguments_are_domain_errors(kwargs, flags, capsys):
     with pytest.raises(DomainError):
