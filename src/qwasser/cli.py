@@ -77,7 +77,7 @@ def _state_from_json(obj, where: str) -> np.ndarray:
 
 
 def parse_state_spec(spec: str, where: str, stdin_text: str | None = None) -> np.ndarray:
-    if spec == "-" and stdin_text is None:
+    if spec == "-" and not (stdin_text or "").strip():
         raise DomainError(f"{where}: '-' given but stdin is empty")
     if spec == "-" or spec.lstrip().startswith("{"):
         return _state_from_json(_load_json(stdin_text if spec == "-" else spec, where), where)

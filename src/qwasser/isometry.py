@@ -34,7 +34,7 @@ import numpy as np
 from .cost import UNITARY_TOL, require_unitary, sym_cost, unitarity_defect, z_cost
 from .errors import DomainError, require_integer, require_positive
 from .linalg import dagger
-from .sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
+from .sampling import derived_rng, draws, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
 from .states import PAULI, bloch_from_state, state_from_bloch, validate_state
 from .transport import _optimal_values, divergence_breakdowns
 
@@ -356,7 +356,7 @@ def _crosscheck_dz(map_samplers: list, n_maps: int, n_samples: int, tol: float, 
     """`theorem_crosscheck_dz` for each sampler, from one harness call; map k
     of every family uses seed + k."""
     require_integer("n_maps", n_maps, 1)
-    maps = [sampler(derived_rng(seed, 10_000 + k)) for sampler in map_samplers for k in range(n_maps)]
+    maps = [m for sampler in map_samplers for m in draws(seed, 10_000, n_maps, sampler)]
     seeds = [seed + k for k in range(n_maps)] * len(map_samplers)
     reports, conditions = _check_isometries(maps, seeds, ("D_z",), n_samples, tol, max(3 * n_samples, 24))
     per_map = [

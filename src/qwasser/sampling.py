@@ -1,7 +1,8 @@
 """Seeded random generators for Bloch vectors, unitaries, and rotations.
 
-Every stream is derived from an integer seed plus a counter index, so sample
-k does not depend on how a suite groups its draws, as `SEED0_FIGURES` needs.
+Every stream is derived from an integer seed plus a counter index: `draws`
+gives sample i of a family the stream `derived_rng(seed, first + i)`, so it
+does not depend on how a suite groups its draws, as `SEED0_FIGURES` needs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ def derived_rng(seed: int, index: int = 0) -> np.random.Generator:
     require_integer("seed", seed, 0)
     require_integer("index", index, 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def draws(seed: int, first: int, n: int, draw) -> list:
+    """`draw(rng)` for samples first, ..., first + n - 1 of run `seed`, each
+    from its own stream `derived_rng(seed, first + i)`."""
+    return [draw(derived_rng(seed, first + i)) for i in range(n)]
 
 
 def random_bloch_on_sphere(rng: np.random.Generator) -> np.ndarray:

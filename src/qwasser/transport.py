@@ -591,39 +591,46 @@ def wasserstein_divergence(rho, omega, c, config: SolverConfig | None = None) ->
 # ---------------------------------------------------------------------------
 # Closed forms for self-distances as functions of Bloch coordinates.
 #
-# The calibrated constants below match the transport optimum (and the
+# Each law is a constant times a shape in (|b|, b3).  The calibrated constants,
+# 4 (all-Pauli) and 2 (sigma_z), match the transport optimum (and the
 # vec(sqrt(rho)) coupling) to machine precision; the verification suites pin
-# them against the solver.  Published closed forms for the same quantities
-# circulate with smaller constants (half for the all-Pauli cost, a quarter for
-# the sigma_z cost); they are kept for comparison reports and flagged wherever
-# the two disagree.
+# them against the solver.  The published laws carry the constants 2 and 1/2,
+# half and a quarter of the optimum (the `*_PUBLISHED_SCALE` ratios the suites
+# check); they are kept for comparison reports and flagged where they disagree.
 # ---------------------------------------------------------------------------
 
 SYM_PUBLISHED_SCALE = 0.5
 Z_PUBLISHED_SCALE = 0.25
 
 
+def _sym_self_shape(bloch_norm: float) -> float:
+    """1 - sqrt(1 - |b|^2), with |b| clamped to [0, 1]."""
+    return 1.0 - math.sqrt(1.0 - min(max(bloch_norm, 0.0) ** 2, 1.0))
+
+
+def _z_self_shape(bloch_norm: float, b3: float) -> float:
+    """`_sym_self_shape` times 1 - b3^2/|b|^2; zero at the ball center."""
+    r = max(bloch_norm, 0.0)
+    if r < 1e-15:
+        return 0.0
+    return _sym_self_shape(r) * (1.0 - min((b3 / r) ** 2, 1.0))
+
+
 def sym_self_distance_sq_closed(bloch_norm: float) -> float:
     """Self transport cost under the all-Pauli cost as a function of |b|."""
-    r2 = min(max(bloch_norm, 0.0) ** 2, 1.0)
-    return 4.0 * (1.0 - math.sqrt(1.0 - r2))
+    return 4.0 * _sym_self_shape(bloch_norm)
 
 
 def z_self_distance_sq_closed(bloch_norm: float, b3: float) -> float:
     """Self transport cost under the sigma_z cost; zero at the ball center."""
-    r = max(bloch_norm, 0.0)
-    if r < 1e-15:
-        return 0.0
-    r2 = min(r**2, 1.0)
-    frac = min((b3 / r) ** 2, 1.0)
-    return 2.0 * (1.0 - math.sqrt(1.0 - r2)) * (1.0 - frac)
+    return 2.0 * _z_self_shape(bloch_norm, b3)
 
 
 def sym_self_distance_sq_published(bloch_norm: float) -> float:
-    """Published variant of the all-Pauli self-distance (half the optimum)."""
-    return SYM_PUBLISHED_SCALE * sym_self_distance_sq_closed(bloch_norm)
+    """The published all-Pauli law 2(1 - sqrt(1 - |b|^2))."""
+    return 2.0 * _sym_self_shape(bloch_norm)
 
 
 def z_self_distance_sq_published(bloch_norm: float, b3: float) -> float:
-    """Published variant of the sigma_z self-distance (a quarter of the optimum)."""
-    return Z_PUBLISHED_SCALE * z_self_distance_sq_closed(bloch_norm, b3)
+    """The published sigma_z law (1/2)(1 - sqrt(1 - |b|^2))(1 - b3^2/|b|^2)."""
+    return 0.5 * _z_self_shape(bloch_norm, b3)

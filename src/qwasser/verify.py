@@ -1,16 +1,15 @@
 """Verification suites: closed forms, isometry families, and metric sampling.
 
-Each suite draws seeded samples, measures deviations against the transport
-solver, and returns its checks; `run_suite` fills in the suite's default
-samples and tolerance, checks the arguments, and builds the `SuiteResult` the
-CLI serializes.  Per-sample
-random streams are derived from (seed, counter).  A suite draws its pairs
-first and solves each distinct pair once, in batched calls whose certified
-per-pair results do not depend on the grouping: `dz-theorem` checks all its
-map families in one crosscheck, and `dsym-isometries` and `sym-closed-forms`
-read distance and divergence off one `divergence_breakdowns` call.  Solves
-run at the solver defaults, except the `sdp` self-distances, which are forced
-through the barrier (`_FORCED`).
+Each suite draws seeded samples, each family through `sampling.draws`,
+measures deviations against the transport solver, and returns its checks;
+`run_suite` fills in the suite's default samples and tolerance, checks the
+arguments, and builds the `SuiteResult` the CLI serializes.  A suite draws its
+pairs first and solves each distinct pair once, in one call per solver setting
+whose certified per-pair results do not depend on the grouping: `dz-theorem`
+checks all its map families in one crosscheck, and `z-closed-forms` solves its
+pure, diagonal and pole pairs together.  Solves run at the solver defaults,
+except the `sdp` self-distances, which are forced through the barrier
+(`_FORCED`).
 
 Both closed-form suites and the CLI's `selfdist-table` take every
 self-distance value from `self_distance_table`, with one batched solve.
@@ -32,7 +31,7 @@ from .isometry import (
     sample_wigner_map,
     sample_z_phase_field_map,
 )
-from .sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere
+from .sampling import draws, random_bloch_in_ball, random_bloch_on_sphere
 from .states import bloch_from_state, state_from_bloch
 from .transport import (
     SYM_PUBLISHED_SCALE,
@@ -42,9 +41,10 @@ from .transport import (
     coupling_cost,
     divergence_breakdowns,
     self_distance_sq,
-    solve_min_coupling,
     sym_self_distance_sq_closed,
+    sym_self_distance_sq_published,
     z_self_distance_sq_closed,
+    z_self_distance_sq_published,
 )
 
 
@@ -72,10 +72,6 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-def _bloch_list(rho) -> list:
-    return [float(v) for v in bloch_from_state(rho)]
-
-
 def _check(name, deviations, tolerance, witnesses=None, notes="") -> CheckResult:
     max_dev = float(max(deviations)) if len(deviations) else 0.0
     return CheckResult(
@@ -89,25 +85,16 @@ def _check(name, deviations, tolerance, witnesses=None, notes="") -> CheckResult
     )
 
 
-def _pure_pairs(seed: int, samples: int) -> np.ndarray:
-    """Bloch vectors (b1, b2) on the sphere, pair i drawn from derived_rng(seed, i)."""
-    pairs = []
-    for i in range(samples):
-        rng = derived_rng(seed, i)
-        pairs.append((random_bloch_on_sphere(rng), random_bloch_on_sphere(rng)))
-    return np.array(pairs).reshape(-1, 2, 3).transpose(1, 0, 2)
+def _sphere_pair(rng) -> tuple:
+    return random_bloch_on_sphere(rng), random_bloch_on_sphere(rng)
 
 
-def _ball_blochs(seed: int, first: int, samples: int) -> np.ndarray:
-    return np.array([random_bloch_in_ball(derived_rng(seed, first + i)) for i in range(samples)]).reshape(-1, 3)
-
-
-# Per cost: the cost, the closed form as a function of (|b|, b3) and its
-# formula, the published formula, and the published form's share of the optimum.
+# Per cost: the cost, the closed and published forms as functions of (|b|, b3),
+# their formulas, and the published form's claimed share of the optimum.
 _SELF_FORMS = {
-    "sym": (sym_cost, lambda r, b3: sym_self_distance_sq_closed(r), "4(1-sqrt(1-|b|^2))",
-            "2(1-sqrt(1-|b|^2))", "half", SYM_PUBLISHED_SCALE),
-    "z": (z_cost, z_self_distance_sq_closed, "2(1-sqrt(1-|b|^2))(1-b3^2/|b|^2)",
+    "sym": (sym_cost, lambda r, b3: sym_self_distance_sq_closed(r), lambda r, b3: sym_self_distance_sq_published(r),
+            "4(1-sqrt(1-|b|^2))", "2(1-sqrt(1-|b|^2))", "half", SYM_PUBLISHED_SCALE),
+    "z": (z_cost, z_self_distance_sq_closed, z_self_distance_sq_published, "2(1-sqrt(1-|b|^2))(1-b3^2/|b|^2)",
           "(1/2)(1-sqrt(1-|b|^2))(1-b3^2/|b|^2)", "a quarter of", Z_PUBLISHED_SCALE),
 }
 
@@ -130,13 +117,14 @@ def self_distance_table(blochs, cost: str, norms=None) -> dict:
     norms = np.linalg.norm(blochs, axis=1) if norms is None else np.asarray(norms, dtype=float)
     if norms.shape != (len(blochs),) or not np.isfinite(norms).all():
         raise DomainError(f"self_distance_table: norms must be {len(blochs)} finite numbers, one per Bloch vector")
-    make_cost, closed_sq, *_, scale = _SELF_FORMS[cost]
+    make_cost, closed_sq, published_sq, *_ = _SELF_FORMS[cost]
     c = make_cost()
-    closed = np.array([closed_sq(r, b3) for r, b3 in zip(norms, blochs[:, 2])])
+    closed, published = (np.array([law(r, b3) for r, b3 in zip(norms, blochs[:, 2])])
+                         for law in (closed_sq, published_sq))
     return {
         "selfdist_sq_purification": self_distance_sq(rhos, c),
         "selfdist_sq_closed_form": closed,
-        "selfdist_sq_published_form": scale * closed,
+        "selfdist_sq_published_form": published,
         "selfdist_sq_sdp": _optimal_values(rhos, rhos, c, _FORCED),
     }
 
@@ -144,8 +132,8 @@ def self_distance_table(blochs, cost: str, norms=None) -> dict:
 def _self_distance_checks(cost: str, samples: int, seed: int, tolerance: float) -> list:
     """A closed-form suite's two self-distance checks on ball samples: solve,
     coupling and closed form agree, and the published form is off by its scale."""
-    _, _, closed_form, published_form, share, scale = _SELF_FORMS[cost]
-    table = self_distance_table(_ball_blochs(seed, 20_000, samples), cost)
+    *_, closed_form, published_form, share, scale = _SELF_FORMS[cost]
+    table = self_distance_table(draws(seed, 20_000, samples, random_bloch_in_ball), cost)
     sdp, pur = table["selfdist_sq_sdp"], table["selfdist_sq_purification"]
     closed = table["selfdist_sq_closed_form"]
     triple_devs = np.maximum.reduce([np.abs(sdp - pur), np.abs(sdp - closed), np.abs(pur - closed)])
@@ -164,15 +152,13 @@ def _sym_closed_forms(samples: int, seed: int, tolerance: float) -> list:
     for the all-Pauli cost."""
     c = sym_cost()
 
-    b1, b2 = _pure_pairs(seed, samples)
+    b1, b2 = np.array(draws(seed, 0, samples, _sphere_pair)).transpose(1, 0, 2)
     r1, r2 = state_from_bloch(b1), state_from_bloch(b2)
     costs, divs = np.array([(d.distance_sq, d.divergence) for d in divergence_breakdowns(r1, r2, c)]).T
     cost_devs = np.abs(costs - (6.0 - 2.0 * (b1 * b2).sum(axis=1)))
     div_devs = np.abs(divs - np.linalg.norm(b1 - b2, axis=1))
 
-    pure = state_from_bloch(np.reshape(
-        [random_bloch_on_sphere(derived_rng(seed, 10_000 + i)) for i in range(min(samples, 200))], (-1, 3)
-    ))
+    pure = state_from_bloch(np.array(draws(seed, 10_000, min(samples, 200), random_bloch_on_sphere)))
     products = np.einsum("nij,nlk->nikjl", pure, pure).reshape(-1, 4, 4)  # rho (x) rho^T
     self_pure_devs = np.abs(coupling_cost(products, c) - 4.0)
 
@@ -187,26 +173,21 @@ def _sym_closed_forms(samples: int, seed: int, tolerance: float) -> list:
 def _z_closed_forms(samples: int, seed: int, tolerance: float) -> list:
     """Pure-pair law, diagonal-pair law, pole diameter, and self-distance forms
     for the single-sigma_z cost."""
-    c = z_cost()
-
-    b1, b2 = _pure_pairs(seed, samples)
-    costs = _optimal_values(state_from_bloch(b1), state_from_bloch(b2), c)
-    pair_devs = np.abs(costs - (2.0 - 2.0 * b1[:, 2] * b2[:, 2]))
-
-    tu = np.array([derived_rng(seed, 30_000 + i).uniform(-0.98, 0.98, size=2)
-                   for i in range(min(samples, 100))]).reshape(-1, 2)
-    diag = state_from_bloch(np.stack((np.zeros_like(tu), np.zeros_like(tu), tu), axis=-1))
-    diag_vals = _optimal_values(diag[:, 0], diag[:, 1], c)
+    pure = np.array(draws(seed, 0, samples, _sphere_pair))
+    tu = np.array(draws(seed, 30_000, min(samples, 100), lambda rng: rng.uniform(-0.98, 0.98, size=2)))
+    diag = np.stack((np.zeros_like(tu), np.zeros_like(tu), tu), axis=-1)
+    # One solve: the pure pairs and the pole pair take the product coupling,
+    # the diagonal pairs run the barrier in one block.
+    states = state_from_bloch(np.concatenate((pure, diag, [[(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]])))
+    values = _optimal_values(states[:, 0], states[:, 1], z_cost())
+    costs, diag_vals, poles = np.split(values, [samples, samples + len(tu)])
+    pair_devs = np.abs(costs - (2.0 - 2.0 * pure[:, 0, 2] * pure[:, 1, 2]))
     diag_devs = np.abs(diag_vals - 2.0 * np.abs(tu[:, 0] - tu[:, 1]))
-
-    poles = solve_min_coupling(
-        state_from_bloch((0.0, 0.0, 1.0)), state_from_bloch((0.0, 0.0, -1.0)), c
-    ).optimal_value
 
     return [
         _check("pure-pair-cost-2-minus-2-zw", pair_devs, tolerance),
         _check("diagonal-pair-classical-cost", diag_devs, tolerance),
-        _check("pole-pair-squared-diameter-4", [abs(poles - 4.0)], tolerance),
+        _check("pole-pair-squared-diameter-4", np.abs(poles - 4.0), tolerance),
         *_self_distance_checks("z", samples, seed, tolerance),
     ]
 
@@ -214,12 +195,10 @@ def _z_closed_forms(samples: int, seed: int, tolerance: float) -> list:
 def _dsym_isometries(samples: int, seed: int, tolerance: float) -> list:
     """Unitary and antiunitary conjugations preserve both the distance and the
     divergence of the all-Pauli cost; non-rigid maps are caught with witnesses."""
-    wigner = [sample_wigner_map(derived_rng(seed, i)) for i in range(samples)]
+    wigner = draws(seed, 0, samples, sample_wigner_map)
     n_adv = max(4, samples // 10)
-    adversarial = []
-    for i in range(n_adv):
-        rng = derived_rng(seed, 50_000 + i)
-        adversarial.append(sample_z_phase_field_map(rng) if i % 2 else sample_non_rigid_map(rng))
+    adversarial = [(sample_z_phase_field_map if i % 2 else sample_non_rigid_map)(rng)
+                   for i, rng in enumerate(draws(seed, 50_000, n_adv, lambda rng: rng))]
     # Non-rigid map i uses Wigner map i's seed, so both share its pairs, and
     # one solve gives D_sym and d_sym for all.  Only the non-rigid verdicts
     # are read, at their own tolerance; the Wigner check reads deviations.
@@ -235,8 +214,8 @@ def _dsym_isometries(samples: int, seed: int, tolerance: float) -> list:
             rho, omega, dev = report.witness_pair
             witnesses.append({
                 "map": state_map.label,
-                "bloch_rho": _bloch_list(rho),
-                "bloch_omega": _bloch_list(omega),
+                "bloch_rho": bloch_from_state(rho).tolist(),
+                "bloch_omega": bloch_from_state(omega).tolist(),
                 "deviation": float(dev),
             })
 
@@ -291,29 +270,19 @@ def _divergence_triangle(samples: int, seed: int, tolerance: float) -> list:
     A violation beyond tolerance indicates a solver accuracy bug and is
     reported with the offending triple rather than silently dropped.
     """
-    c = sym_cost()
-    blochs = []
-    for i in range(samples):
-        rng = derived_rng(seed, i)
-        blochs.append([random_bloch_in_ball(rng) for _ in range(3)])
-    triples = state_from_bloch(np.reshape(blochs, (-1, 3, 3)))
+    blochs = draws(seed, 0, samples, lambda rng: [random_bloch_in_ball(rng) for _ in range(3)])
+    triples = state_from_bloch(np.array(blochs))
     # edges (0, 1), (0, 2), (1, 2) of each triple
     breakdowns = divergence_breakdowns(
-        triples[:, [0, 0, 1]].reshape(-1, 2, 2), triples[:, [1, 2, 2]].reshape(-1, 2, 2), c)
-    excesses, witnesses = [], []
-    for k, states in enumerate(triples):
-        d01, d02, d12 = (br.divergence for br in breakdowns[3 * k:3 * k + 3])
-        excess = max(d01 - d02 - d12, d02 - d01 - d12, d12 - d01 - d02)
-        excesses.append(max(excess, 0.0))
-        if excess > tolerance:
-            witnesses.append({
-                "blochs": [_bloch_list(s) for s in states],
-                "divergences": [d01, d02, d12],
-                "excess": float(excess),
-            })
+        triples[:, [0, 0, 1]].reshape(-1, 2, 2), triples[:, [1, 2, 2]].reshape(-1, 2, 2), sym_cost())
+    divs = np.reshape([br.divergence for br in breakdowns], (-1, 3))
+    d01, d02, d12 = divs.T
+    excess = np.max([d01 - d02 - d12, d02 - d01 - d12, d12 - d01 - d02], axis=0)
+    witnesses = [{"blochs": bloch_from_state(states).tolist(), "divergences": d.tolist(), "excess": float(e)}
+                 for states, d, e in zip(triples, divs, excess) if e > tolerance]
     min_radicand = min((br.radicand for br in breakdowns), default=np.inf)
 
-    return [_check("triangle-inequality-excess", excesses, tolerance, witnesses=witnesses,
+    return [_check("triangle-inequality-excess", np.maximum(excess, 0.0), tolerance, witnesses=witnesses,
                    notes=f"min radicand before clamping {min_radicand:.3e}")]
 
 

@@ -130,6 +130,10 @@ class TestDistanceCommand:
         assert code == 0
         assert "D          = 2" in out
 
+    def test_named_json_state(self, capsys):
+        named = run_cli(capsys, ["distance", '{"named": "plus_x"}', "plus_z"])
+        assert named[0] == 0 and named == run_cli(capsys, ["distance", "plus_x", "plus_z"])
+
 
 class TestDivergenceCommand:
     def test_antipodal(self, capsys):
@@ -318,6 +322,21 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert err.startswith("error: argument --") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,stdin,message", [
+        (["-", "plus_z"], "[0, 0, 1]", "state1: expected a JSON object, got list"),
+        (['{"bloch": [0, 0, 1], "named": "plus_z"}', "plus_z"], "", "state1: give exactly one of"),
+        (["plus_z", "bloch:1,2"], "", "state2: expected bloch:x,y,z"),
+        (["bloch:a,0,0", "plus_z"], "", "state1: non-numeric bloch coordinate"),
+        (["-", "-"], '{"named": "plus_z"}', "only one positional state may read from stdin"),
+        (["-", "plus_z"], "", "state1: '-' given but stdin is empty"),
+        (["plus_z", "-"], " \n", "state2: '-' given but stdin is empty"),
+    ])
+    def test_bad_state_spec_is_one_line_exit_2(self, capsys, monkeypatch, argv, stdin, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, ["distance", *argv])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_custom_without_generators_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["distance", "--cost", "custom", "plus_z", "minus_z"])

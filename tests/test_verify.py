@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qwasser import transport
+from qwasser import transport, verify
 from qwasser.cli import main
 from qwasser.cost import sym_cost, z_cost
 from qwasser.errors import DomainError
@@ -76,6 +76,35 @@ def test_isometry_suites_solve_each_pair_once(suite, monkeypatch):
     monkeypatch.setattr(transport, "_solve_barrier", recorded)
     assert run_suite(suite).passed
     assert seen and len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_each_suite_solves_once_per_setting(suite, monkeypatch):
+    # one solve at the defaults; the closed-form suites force their sdp
+    # self-distances through the barrier in a second.  z-closed-forms once
+    # solved its pure, diagonal and pole pairs in three default calls.
+    configs = []
+    solve = transport._solve
+
+    def counted(rhos, omegas, c, cfg):
+        configs.append(cfg)
+        return solve(rhos, omegas, c, cfg)
+
+    monkeypatch.setattr(transport, "_solve", counted)
+    assert run_suite(suite, samples=4).passed
+    forced = [SolverConfig(fast_paths=False)] if suite.endswith("closed-forms") else []
+    assert configs == [SolverConfig(), *forced]
+
+
+@pytest.mark.parametrize("suite,cost,wrong_scale", [("sym-closed-forms", "sym", 0.7), ("z-closed-forms", "z", 0.5)])
+def test_published_form_check_fails_under_a_wrong_scale(suite, cost, wrong_scale, monkeypatch):
+    # the published laws carry the literature's constants, so dividing them by
+    # a share of the optimum other than the true one leaves a residual
+    *forms, _ = verify._SELF_FORMS[cost]
+    monkeypatch.setitem(verify._SELF_FORMS, cost, (*forms, wrong_scale))
+    checks = {c.name: c for c in run_suite(suite, samples=20).checks}
+    assert not checks["published-self-distance-formula-flagged"].passed
+    assert checks["self-distance-sdp-purification-closed-form"].passed
 
 
 @pytest.mark.parametrize(
