@@ -61,18 +61,23 @@ def state_from_bloch(b) -> np.ndarray:
     _require(finite & (norm <= 1.0 + BLOCH_CLAMP), "state_from_bloch", b.ndim > 1,
              lambda i: f"Bloch norm {norm[i]:.12g} outside the unit ball" if finite[i]
              else f"non-finite Bloch coordinate in {flat[i].tolist()}")
-    flat = flat / np.maximum(norm, 1.0)[:, None]  # radial clamp; x / 1.0 is x exactly
-    x, y, z = (flat[:, k, None, None] for k in range(3))
-    rho = 0.5 * (PAULI[0] + x * PAULI[1] + y * PAULI[2] + z * PAULI[3])
-    return rho.reshape(*b.shape[:-1], 2, 2)
+    b = (flat / np.maximum(norm, 1.0)[:, None]).reshape(b.shape)  # radial clamp; x / 1.0 is x exactly
+    # built in its final shape, so that one point's state owns its data
+    # rather than viewing a (1, 2, 2) stack
+    x, y, z = (b[..., k, None, None] for k in range(3))
+    return 0.5 * (PAULI[0] + x * PAULI[1] + y * PAULI[2] + z * PAULI[3])
 
 
 def bloch_from_state(rho) -> np.ndarray:
     """Pauli expectation values (tr[sigma_j rho])_{j=1..3}; a stack of states
     gives a stack of Bloch vectors."""
     rho = np.asarray(rho, dtype=complex)
+    b = np.empty((*rho.shape[:-2], 3))
     off = rho[..., 1, 0]
-    return np.stack([2.0 * off.real, 2.0 * off.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
+    b[..., 0] = 2.0 * off.real
+    b[..., 1] = 2.0 * off.imag
+    b[..., 2] = (rho[..., 0, 0] - rho[..., 1, 1]).real
+    return b
 
 
 def validate_state(m, what: str = "state") -> np.ndarray:

@@ -11,9 +11,14 @@ objective over a 9-dimensional affine slice of the PSD cone.  A log-det
 barrier interior-point method with damped Newton steps follows the central
 path once per solve; its final Newton step yields a dual feasible point,
 whose value gives the reported duality gap.  `solve_min_couplings` runs the
-same path-following rules on a stack of pairs at once, lane by lane; one pair
-runs a single-pair loop.  Both loops build the Newton system with
-`_newton_parts` and share the certificate and the closed-form decisions.
+same path-following rules on a stack of pairs at once, lane by lane.  One
+pair, whichever entry point it comes through, runs scalar code from end to
+end: a single-pair loop, and the closed-form decisions, the affine parts, the
+certificate and the choice of result on (2, 2), (4, 4) and (9, 9) arrays
+rather than on stacks of one.  Both paths build the Newton system with
+`_newton_parts` and share the certificate, the closed-form decisions, the
+product fallback and the status rule, each written once for one pair or a
+stack.
 
 Closed paths (exact, no iteration):
 
@@ -43,6 +48,7 @@ from .cost import cost_matrix
 from .errors import DomainError, InternalConsistencyError, SolverAccuracyError, require_integer, require_positive
 from .linalg import (
     bra_cost_ket,
+    dagger,
     partial_trace_first,
     partial_trace_second,
     real_part,
@@ -67,6 +73,7 @@ _FREE_FLAT = _FREE.reshape(9, 16)
 # Constraint operators whose Pi-expectations are pinned by the marginals:
 # I (x) I, then sigma_i (x) I and I (x) sigma_j for i, j = 1, 2, 3.
 _CONSTRAINTS = _P16[[0, 4, 8, 12, 1, 2, 3]]
+_CONSTRAINTS_FLAT = _CONSTRAINTS.reshape(7, 16)
 
 
 # Pairs k <= l of Pauli coefficients and a <= b of free directions: x (x) x
@@ -175,35 +182,42 @@ def coupling_cost(pi, c):
     return real_part(np.einsum("...ij,ji->...", m, cost_matrix(c)), "coupling_cost")
 
 
-def _affine_parts(rhos, omegas):
-    """Per pair: the coupling with free coordinates zero, the marginal vector
-    b = (1, b_omega, b_rho^T), and the free coordinates of the product coupling."""
+def _affine_parts(rhos, omegas, cmat):
+    """For one pair, or per pair of a stack: the barrier's objective q on the
+    free coordinates, the coupling with free coordinates zero and its cost,
+    the marginal vector b = (1, b_omega, b_rho^T), and the free coordinates of
+    the product coupling."""
     b_omega = bloch_from_state(omegas)
     b_rho_t = bloch_from_state(rhos) * np.array([1.0, -1.0, 1.0])
+    lead = b_omega.shape[:-1]
     fixed = 0.25 * (
         _CONSTRAINTS[0]
-        + np.tensordot(b_omega, _CONSTRAINTS[1:4], axes=1)
-        + np.tensordot(b_rho_t, _CONSTRAINTS[4:], axes=1)
+        + (b_omega @ _CONSTRAINTS_FLAT[1:4]).reshape(*lead, 4, 4)
+        + (b_rho_t @ _CONSTRAINTS_FLAT[4:]).reshape(*lead, 4, 4)
     )
-    bvec = np.concatenate((np.ones((len(rhos), 1)), b_omega, b_rho_t), axis=1)
-    x0 = (b_omega[:, :, None] * b_rho_t[:, None, :]).reshape(-1, 9)
-    return fixed, bvec, x0
+    q = np.einsum("aij,ji->a", _FREE, cmat).real
+    bvec = np.concatenate((np.ones((*lead, 1)), b_omega, b_rho_t), axis=-1)
+    x0 = (b_omega[..., :, None] * b_rho_t[..., None, :]).reshape(*lead, 9)
+    return q, fixed, np.einsum("...ij,ji->...", fixed, cmat).real, bvec, x0
 
 
-def _lanewise(fn, lone, *stacks):
-    """fn(*stacks) on stacks of lanes, with lone(*lane) for each lane on which
-    fn raises LinAlgError.
+def _lanewise(fn, lone, *args):
+    """fn(*args) on one lane or a stack of lanes (args[0] is one matrix or a
+    stack of them), with lone(*lane) for each lane on which fn raises
+    LinAlgError.
 
     numpy raises for the whole stack when one lane fails, so a failing stack
     is split until the failing lanes are alone.
     """
     try:
-        return fn(*stacks)
+        return fn(*args)
     except np.linalg.LinAlgError:
-        if len(stacks[0]) == 1:
-            return lone(*stacks)
-        h = len(stacks[0]) // 2
-        return np.concatenate([_lanewise(fn, lone, *(s[part] for s in stacks))
+        if args[0].ndim == 2:
+            return lone(*args)
+        if len(args[0]) == 1:
+            return lone(*(a[0] for a in args))[None]
+        h = len(args[0]) // 2
+        return np.concatenate([_lanewise(fn, lone, *(a[part] for a in args))
                                for part in (slice(None, h), slice(h, None))])
 
 
@@ -212,15 +226,16 @@ def _nan_like(m):
 
 
 def _logdet_lanes(m):
-    """log det of each matrix of a stack, NaN where Cholesky fails."""
+    """log det of a matrix, or of each matrix of a stack; NaN where Cholesky fails."""
     ell = _lanewise(np.linalg.cholesky, _nan_like, m)
-    return 2.0 * np.log(np.diagonal(ell, axis1=1, axis2=2).real).sum(axis=1)
+    return 2.0 * np.log(ell.diagonal(0, -2, -1).real).sum(axis=-1)
 
 
 def _solve_lanes(a, b):
-    """x[i] with a[i] x[i] = b[i]; least squares on the lanes where a[i] is singular."""
-    return _lanewise(lambda a, b: np.linalg.solve(a, b[..., None])[..., 0],
-                     lambda a, b: np.linalg.lstsq(a[0], b[0], rcond=None)[0][None], a, b)
+    """x with a x = b, for one system or each of a stack; least squares where a is singular."""
+    # numpy takes a 1-D b as one vector; a stack of vectors needs a unit axis
+    solve = np.linalg.solve if b.ndim == 1 else lambda a, b: np.linalg.solve(a, b[..., None])[..., 0]
+    return _lanewise(solve, lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0], a, b)
 
 
 def _newton_parts(m):
@@ -232,9 +247,11 @@ def _newton_parts(m):
     its Hessian mu h0.  Both are NaN where M is singular to working precision.
     """
     lead = m.shape[:-2]
-    x = (_lanewise(np.linalg.inv, _nan_like, m.reshape(-1, 4, 4)).reshape(*lead, 16) @ _COEF).real
-    h0 = ((x[..., _K] * x[..., _L]) @ _TEN)[..., _H_UNFOLD].reshape(*lead, 9, 9)
-    return x[..., _FREE_INDEX], h0
+    # coefficients on the first axis: indexing whole rows avoids numpy's
+    # general index path, which costs more than the gathers on one M
+    xt = (_lanewise(np.linalg.inv, _nan_like, m).reshape(*lead, 16) @ _COEF).real.T
+    h0 = ((xt[_K] * xt[_L]).T @ _TEN).T[_H_UNFOLD].T.reshape(*lead, 9, 9)
+    return xt[_FREE_INDEX].T, h0
 
 
 def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
@@ -251,11 +268,12 @@ def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
         return (m0_flat + vv @ _FREE_FLAT).reshape(4, 4)
 
     mat = assemble(v)
-    logdet = _logdet_lanes(mat[None])[0]
-    if not np.isfinite(logdet):
+    logdet = _logdet_lanes(mat)
+    if not math.isfinite(logdet):
         return math.nan, mat, 0.0, 0
 
-    mu = (1.0 + abs(float(v @ q))) / 4.0
+    value = float(v @ q)
+    mu = (1.0 + abs(value)) / 4.0
     # Each barrier stage leaves an objective offset of about 4*mu, so stop a
     # comfortable factor below the requested gap.
     mu_floor = cfg.tolerance / 32.0
@@ -266,38 +284,39 @@ def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
         if parts is None:
             parts = _newton_parts(mat)
         g0, h0 = parts
-        if np.isnan(g0[0]):
+        if math.isnan(g0[0]):
             break  # M singular to working precision: end at the last accepted iterate
         grad = q - mu * g0
-        delta = -_solve_lanes((mu * h0)[None], grad[None])[0]
+        delta = -_solve_lanes(mu * h0, grad)
+        slope = float(grad @ delta)
         # Newton decrement of the self-concordant centering problem
         # (1/mu) q.v - logdet: the mu division keeps the proximity
         # test meaningful as mu shrinks.
-        dec_sq = max(float(-grad @ delta), 0.0) / mu
+        dec_sq = max(-slope, 0.0) / mu
         if dec_sq <= _CENTERING_TOL**2:
             if mu <= mu_floor:
                 break
             mu = max(mu * _MU_SHRINK, mu_floor)
             continue
-        f0 = float(v @ q) - mu * logdet
-        slope = float(grad @ delta)
+        f0 = value - mu * logdet
         # off-centre here (dec_sq > _CENTERING_TOL**2), so always the damped step
         step = 1.0 / (1.0 + math.sqrt(dec_sq))
         accepted = False
         for _ in range(40):
             vn = v + step * delta
             matn = assemble(vn)
-            ld = _logdet_lanes(matn[None])[0]
-            if float(vn @ q) - mu * ld <= f0 + 0.25 * step * slope:
+            ld = _logdet_lanes(matn)
+            value_n = float(vn @ q)
+            if value_n - mu * ld <= f0 + 0.25 * step * slope:
                 accepted = True
                 break
             step *= 0.5
         iters += 1
         if not accepted:
             break
-        v, mat, logdet, parts = vn, matn, ld, None
+        v, value, mat, logdet, parts = vn, value_n, matn, ld, None
 
-    return float(v @ q), mat, mu, iters
+    return value, mat, mu, iters
 
 
 def _barrier_minimize_lanes(q, m0, v0, cfg: SolverConfig):
@@ -375,7 +394,8 @@ def _barrier_minimize_lanes(q, m0, v0, cfg: SolverConfig):
 
 
 def _lower_bounds(q, cmat, bvec, pi, mu):
-    """Certified lower bounds on min tr[Pi C] from a stack of last iterates.
+    """Certified lower bound on min tr[Pi C] from a last iterate, or one per
+    iterate of a stack.
 
     At an iterate Pi with barrier weight mu and Newton step D, the slack
     Z = mu (Pi^-1 - Pi^-1 D Pi^-1) matches C on the free directions (the Newton
@@ -390,34 +410,72 @@ def _lower_bounds(q, cmat, bvec, pi, mu):
     Hessian is a Gram matrix, which stays PSD in floating point as Pi nears
     singularity, where the path's inv(Pi)-based Hessian goes indefinite.
     """
-    n = len(pi)
+    lead = pi.shape[:-2]
+    mu = np.asarray(mu)[..., None]
     linv = np.linalg.inv(np.linalg.cholesky(pi))
-    linv_h = linv.conj().transpose(0, 2, 1)
-    w = linv[:, None] @ _FREE @ linv_h[:, None]
-    w_flat = w.reshape(n, 9, 16)
-    grad = q - mu[:, None] * np.trace(w, axis1=2, axis2=3).real
-    gram = mu[:, None, None] * (w_flat @ w_flat.conj().transpose(0, 2, 1)).real
+    linv_h = dagger(linv)
+    w = linv[..., None, :, :] @ _FREE @ linv_h[..., None, :, :]
+    w_flat = w.reshape(*lead, 9, 16)
+    grad = q - mu * w.trace(0, -2, -1).real
+    gram = mu[..., None] * (w_flat @ dagger(w_flat)).real
     delta = -_solve_lanes(gram, grad)
-    step = (delta[:, None, :] @ w_flat).reshape(n, 4, 4)
-    z = mu[:, None, None] * (linv_h @ (np.eye(4) - step) @ linv)
-    y = np.einsum("kij,nji->nk", _CONSTRAINTS, cmat - z).real / 4.0
-    dual_slack = cmat - np.tensordot(y, _CONSTRAINTS, axes=1)
-    return (bvec * y).sum(axis=1) + np.minimum(0.0, np.linalg.eigvalsh(dual_slack)[:, 0])
+    step = (delta[..., None, :] @ w_flat).reshape(pi.shape)
+    z = mu[..., None] * (linv_h @ (np.eye(4) - step) @ linv)
+    y = np.einsum("kij,...ji->...k", _CONSTRAINTS, cmat - z).real / 4.0
+    dual_slack = cmat - (y @ _CONSTRAINTS_FLAT).reshape(pi.shape)
+    return (bvec * y).sum(axis=-1) + np.minimum(0.0, np.linalg.eigvalsh(dual_slack)[..., 0])
+
+
+def _settle(primal, prod_val, cmat, bound):
+    """(value, barrier_wins, gap) for one pair, or per pair of a stack, from
+    the barrier's value and certified bound, both NaN without an interior.
+
+    The product coupling, whose cost is prod_val, is itself feasible: it
+    stands wherever the barrier does no better.  tr[Pi C] >= lambda_min(C)
+    bounds every coupling.  It is the only bound without a strict interior
+    (Cholesky fails at the product coupling), and it caps the gap where a
+    last iterate is too near singular for its certificate.
+    """
+    wins = primal <= prod_val
+    best = np.where(wins, primal, prod_val)
+    if (best < -1e-9).any():
+        raise InternalConsistencyError(f"negative transport cost {best.min():.3e}")
+    lower = np.fmax(float(np.linalg.eigvalsh(cmat)[0]), bound)
+    return best, wins, np.maximum(best - lower, 0.0)
+
+
+def _status(closed, gap, tolerance) -> str:
+    return "closed_form" if closed else "converged" if gap <= tolerance else "max_iterations"
 
 
 def _closed_forms(rhos, omegas, fast_paths: bool):
-    """Masks (identical, pure) of the pairs whose optimum is taken in closed form.
+    """Masks (identical, pure) of the pairs whose optimum is taken in closed
+    form, or the two flags of one pair.
 
     A marginal pure to roundoff (`is_pure`, whatever the config) takes the
     product coupling: its coupling set is that single coupling, which the
     barrier cannot enter.  A merely near-pure marginal is left to the barrier.
     With fast paths on, identical states take the vec(sqrt(rho)) coupling.
     """
-    identical = np.zeros(len(rhos), dtype=bool)
+    identical = np.zeros(rhos.shape[:-2], dtype=bool)
     if fast_paths:
-        identical = (np.abs(rhos - omegas) <= STATE_EQUAL_ATOL).all(axis=(1, 2))
+        identical = (np.abs(rhos - omegas) <= STATE_EQUAL_ATOL).all(axis=(-2, -1))
     pure = is_pure(np.stack((rhos, omegas))).any(axis=0) & ~identical
     return identical, pure
+
+
+def _product_couplings(rhos, omegas, c):
+    """The product coupling omega (x) rho^T of one pair, or of each pair of a
+    stack, and its cost."""
+    mats = np.einsum("...ij,...lk->...ikjl", omegas, rhos).reshape(*rhos.shape[:-2], 4, 4)
+    return mats, coupling_cost(mats, c)
+
+
+def _self_couplings(rhos, c):
+    """The vec(sqrt(rho)) coupling of a state with itself, or of each state of
+    a stack, and its cost."""
+    roots = vec(sqrt_psd(rhos))
+    return roots[..., :, None] * roots[..., None, :].conj(), _self_distance_sq(rhos, c)
 
 
 def _state_stacks(rhos, omegas) -> list:
@@ -431,61 +489,67 @@ def _state_stacks(rhos, omegas) -> list:
     return stacks
 
 
+def _solve_pair(rho, omega, c, cfg: SolverConfig) -> tuple:
+    """`_solve` for one validated pair, in scalar code from end to end: value,
+    coupling matrix, status, gap, iterations, and whether the pair was taken
+    as identical states."""
+    cmat = cost_matrix(c)
+    mat, value = _product_couplings(rho, omega, c)
+    gap, iters = 0.0, 0
+    identical, pure = _closed_forms(rho, omega, cfg.fast_paths)
+    if identical:
+        mat, value = _self_couplings(rho, c)
+    elif not pure:
+        q, fixed, offset, bvec, x0 = _affine_parts(rho, omega, cmat)
+        primal, pi, mu, iters = _barrier_minimize(q, fixed, x0, cfg)
+        primal += offset
+        bound = _lower_bounds(q, cmat, bvec, pi, mu) if math.isfinite(primal) else math.nan
+        value, wins, gap = _settle(primal, value, cmat, bound)
+        if wins:
+            mat = pi
+    return (max(float(value), 0.0), mat, _status(identical or pure, gap, cfg.tolerance), float(gap), iters,
+            bool(identical))
+
+
 # Most lanes one batched barrier runs.  The cap bounds memory: temporaries take
 # about 10 kB per lane, and without it a five-suite verify pass peaked 9-14% higher.
 _MAX_LANES = 128
 
 
 def _solve_barrier(rhos, omegas, cmat, prod_val, cfg: SolverConfig):
-    """Barrier solve and certificate for pairs without a closed form.
+    """Barrier solve and certificate for a stack of pairs without a closed form.
 
     Returns per pair (value, barrier_wins, M, gap, iterations); the product
-    coupling, whose cost is prod_val, stands wherever the barrier's M does
-    no better.
+    coupling stands wherever the barrier's M does no better.
     """
-    fixed, bvec, x0 = _affine_parts(rhos, omegas)
-    q = np.einsum("aij,ji->a", _FREE, cmat).real
-    if len(rhos) == 1:
-        solved = [np.array([x]) for x in _barrier_minimize(q, fixed[0], x0[0], cfg)]
-    else:
-        solved = _barrier_minimize_lanes(q, fixed, x0, cfg)
-    primal, pi, mu, steps = solved
-    primal = primal + np.einsum("nij,ji->n", fixed, cmat).real
-    # tr[Pi C] >= lambda_min(C) bounds every coupling.  It is the only bound
-    # without a strict interior (Cholesky fails at the product coupling: keep
-    # the product), and it caps the gap where a last iterate is too near
-    # singular for its certificate.
-    lower = np.full(len(rhos), float(np.linalg.eigvalsh(cmat)[0]))
+    q, fixed, offset, bvec, x0 = _affine_parts(rhos, omegas, cmat)
+    primal, pi, mu, steps = _barrier_minimize_lanes(q, fixed, x0, cfg)
+    primal = primal + offset
+    bound = np.full(len(rhos), np.nan)
     interior = np.isfinite(primal)
     if interior.any():
-        lower[interior] = np.maximum(lower[interior], _lower_bounds(q, cmat, bvec[interior], pi[interior], mu[interior]))
-    # The product coupling is itself feasible; never return anything worse.
-    wins = interior & (primal <= prod_val)
-    best = np.where(wins, primal, prod_val)
-    if (best < -1e-9).any():
-        raise InternalConsistencyError(f"negative transport cost {best.min():.3e}")
-    return best, wins, pi, np.maximum(best - lower, 0.0), steps
+        bound[interior] = _lower_bounds(q, cmat, bvec[interior], pi[interior], mu[interior])
+    best, wins, gap = _settle(primal, prod_val, cmat, bound)
+    return best, wins, pi, gap, steps
 
 
 def _solve(rhos, omegas, c, cfg: SolverConfig):
     """`solve_min_couplings` on validated (N, 2, 2) stacks, as per-pair
     arrays: values, coupling matrices, status list, gaps and iterations, and
-    the mask of pairs taken as identical states."""
+    the mask of pairs taken as identical states.  One pair runs `_solve_pair`."""
+    if len(rhos) == 1:
+        value, mat, status, gap, iters, identical = _solve_pair(rhos[0], omegas[0], c, cfg)
+        return np.array([value]), mat[None], [status], np.array([gap]), np.array([iters]), np.array([identical])
     cmat = cost_matrix(c)
-    rho_ts = np.ascontiguousarray(rhos.transpose(0, 2, 1))
     n = len(rhos)
-
-    mats = np.einsum("nij,nkl->nikjl", omegas, rho_ts).reshape(n, 4, 4)  # product couplings
-    prod_val = coupling_cost(mats, c)
+    mats, prod_val = _product_couplings(rhos, omegas, c)
     value = prod_val.copy()
     gap = np.zeros(n)
     iters = np.zeros(n, dtype=int)
 
     identical, pure = _closed_forms(rhos, omegas, cfg.fast_paths)
     if identical.any():
-        roots = vec(sqrt_psd(rhos[identical]))
-        mats[identical] = roots[:, :, None] * roots[:, None, :].conj()
-        value[identical] = _self_distance_sq(rhos[identical], c)
+        mats[identical], value[identical] = _self_couplings(rhos[identical], c)
 
     lanes = np.flatnonzero(~identical & ~pure)
     for start in range(0, lanes.size, _MAX_LANES):
@@ -496,8 +560,7 @@ def _solve(rhos, omegas, c, cfg: SolverConfig):
         mats[block[wins]] = pi[wins]
 
     closed = identical | pure
-    status = ["closed_form" if closed[i] else "converged" if gap[i] <= cfg.tolerance else "max_iterations"
-              for i in range(n)]
+    status = [_status(closed[i], gap[i], cfg.tolerance) for i in range(n)]
     return np.maximum(value, 0.0), mats, status, gap, iters, identical
 
 
@@ -512,11 +575,11 @@ def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> 
 
     Closed forms are decided per pair.  The pairs left for the interior-point
     solve run together in batched barriers of up to `_MAX_LANES` pairs, each
-    pair with its own path and certificate; a single pair runs the
-    single-pair loop, which is faster for one pair.  A lane the path
-    certifies gets the same value, within 1e-11, however the pairs are
-    grouped.  A lane singular to working precision may stop at another
-    iterate in another grouping; its gap still bounds that iterate.
+    pair with its own path and certificate; a single pair runs scalar code
+    from end to end, which is faster for one pair.
+    A lane the path certifies gets the same value, within 1e-11, however the
+    pairs are grouped.  A lane singular to working precision may stop at
+    another iterate in another grouping; its gap still bounds that iterate.
     """
     cfg = config if config is not None else SolverConfig()
     rhos, omegas = _state_stacks(rhos, omegas)
@@ -562,11 +625,11 @@ def divergence_breakdown(rho, omega, c, config: SolverConfig | None = None) -> D
 
 def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -> list:
     """`divergence_breakdown` for each pair (rhos[i], omegas[i]), from one
-    batched transport solve and one self-distance call per side."""
+    batched transport solve and one self-distance call for both sides."""
     cfg = config if config is not None else SolverConfig()
     rhos, omegas = _state_stacks(rhos, omegas)
     value, _, status, _, _, identical = _solve(rhos, omegas, c, cfg)
-    s1, s2 = _self_distance_sq(rhos, c), _self_distance_sq(omegas, c)
+    s1, s2 = _self_distance_sq(np.stack((rhos, omegas)), c)
     # Identical states take s1 as their distance and as s2, so that the
     # radicand cancels to exactly zero.
     dist = np.where(identical, s1, value)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qwasser import transport
 from qwasser.cost import build_cost, sym_cost, z_cost
 from qwasser.errors import ContractViolation, DomainError, InternalConsistencyError
 from qwasser.isometry import apply_state_map, sample_wigner_map
@@ -531,3 +532,79 @@ class TestBatchedSolve:
             solve_min_couplings([rho, rho], [rho], C_SYM)
         with pytest.raises(DomainError):
             divergence_breakdowns([rho], [rho, rho], C_SYM)
+
+
+# Single-pair results recorded before the one-pair path ran scalar code from
+# end to end, when it ran the scalar loop between a stacked prologue and a
+# stacked certificate.  `optimal_value` and `duality_gap_or_residual` of each
+# matched that path bit for bit.
+ONE_PAIRS = {
+    "ball": (state_from_bloch((0.3, -0.2, 0.4)), state_from_bloch((-0.1, 0.5, 0.2))),
+    "shell": (state_from_bloch(np.array([0.6, 0.0, 0.8]) * (1.0 - 1e-4)), state_from_bloch((-0.2, 0.3, -0.1))),
+    "no-interior": NO_INTERIOR,
+    "near-pure": (NEAR_PURE_X, NEAR_PURE_MINUS_Z),
+    # the CLI's near-pure repro: exit 3 after 20 steps under the sym cost
+    "cli-near-pure": (
+        state_from_bloch((-0.9434261702775069, -0.24476926919353414, -0.2236851941765033)),
+        state_from_bloch((-0.16702735492270018, 0.7890907436060359, 0.09388218771759121)),
+    ),
+    "identical": (RAW_PAIR_STATE, RAW_PAIR_STATE.copy()),
+}
+ONE_PAIR_PINS = [
+    # pair, cost, config, optimal_value, duality_gap_or_residual, iterations, solver_status
+    ("ball", "sym", None, 3.3228152776752022, 1.270586746926483e-09, 28, "converged"),
+    ("ball", "z", None, 0.4025029372226885, 1.27355048729072e-09, 30, "converged"),
+    ("shell", "sym", None, 6.365169745606547, 1.286817763457293e-09, 23, "converged"),
+    ("shell", "z", None, 2.143130944714238, 1.2735354992798875e-09, 23, "converged"),
+    ("no-interior", "sym", None, 6.316155277258398, 6.316155277258398, 0, "max_iterations"),
+    ("no-interior", "z", None, 1.9919252206210696, 1.9919252206210696, 0, "max_iterations"),
+    ("near-pure", "sym", None, 5.999105573827812, 1.3083010230729997e-09, 63, "converged"),
+    ("near-pure", "z", None, 1.9999998003214188, 1.2583771802354704e-09, 45, "converged"),
+    ("cli-near-pure", "sym", None, 6.11313349296154, 0.0001778897155739756, 20, "max_iterations"),
+    ("cli-near-pure", "z", None, 2.041999243510729, 0.00014233575198296933, 500, "max_iterations"),
+    ("identical", "sym", FORCED, 0.629540091684496, 1.2675387406346772e-09, 38, "converged"),
+    ("identical", "z", FORCED, 0.1411038144938015, 1.3669406995209243e-09, 35, "converged"),
+]
+COSTS = {"sym": C_SYM, "z": C_Z}
+
+
+class TestOnePair:
+    @pytest.mark.parametrize("entry_point", ["solve_min_coupling", "solve_min_couplings"])
+    @pytest.mark.parametrize("pair,cost,config,value,gap,iterations,status", ONE_PAIR_PINS)
+    def test_results_are_pinned(self, entry_point, pair, cost, config, value, gap, iterations, status):
+        rho, omega = ONE_PAIRS[pair]
+        if entry_point == "solve_min_coupling":
+            res = solve_min_coupling(rho, omega, COSTS[cost], config)
+        else:
+            (res,) = solve_min_couplings([rho], [omega], COSTS[cost], config)
+        assert (res.iterations, res.solver_status) == (iterations, status)
+        assert res.optimal_value == pytest.approx(value, abs=1e-12)
+        assert res.duality_gap_or_residual == pytest.approx(gap, abs=1e-12)
+
+    @pytest.mark.parametrize("pair,fields", [
+        ("ball", (3.3228152776752022, 0.6295400907294566, 0.6533598938636977, 2.681365285378625,
+                  1.6374874916708906)),
+        ("shell", (6.365169745606547, 3.943432871736327, 0.2905526018017188, 4.248177008837525,
+                   2.061110625084817)),
+    ])
+    def test_divergence_breakdown_is_pinned(self, pair, fields):
+        br = divergence_breakdown(*ONE_PAIRS[pair], C_SYM)
+        assert br.solver_status == "converged"
+        got = (br.distance_sq, br.self_distance_sq_first, br.self_distance_sq_second, br.radicand, br.divergence)
+        assert got == pytest.approx(fields, abs=1e-12)
+
+    def test_one_pair_never_enters_the_batched_loop(self, monkeypatch):
+        # one pair through the batched loop takes 2.6-2.8 times as long as
+        # through the scalar loop; every one-pair entry point keeps to the latter
+        def refused(*args):
+            raise AssertionError("one pair reached the batched barrier")
+
+        monkeypatch.setattr(transport, "_barrier_minimize_lanes", refused)
+        rho, omega = ONE_PAIRS["ball"]
+        assert solve_min_coupling(rho, omega, C_SYM).solver_status == "converged"
+        assert divergence_breakdown(rho, omega, C_SYM).solver_status == "converged"
+        assert wasserstein_distance(rho, omega, C_Z) > 0.0
+        (res,) = solve_min_couplings([rho], [omega], C_Z)
+        assert res.solver_status == "converged"
+        (br,) = divergence_breakdowns([rho], [omega], C_SYM)
+        assert br.solver_status == "converged"
