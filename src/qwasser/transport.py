@@ -233,9 +233,8 @@ def _logdet_lanes(m):
 
 def _solve_lanes(a, b):
     """x with a x = b, for one system or each of a stack; least squares where a is singular."""
-    # numpy takes a 1-D b as one vector; a stack of vectors needs a unit axis
-    solve = np.linalg.solve if b.ndim == 1 else lambda a, b: np.linalg.solve(a, b[..., None])[..., 0]
-    return _lanewise(solve, lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0], a, b)
+    return _lanewise(lambda a, b: np.linalg.solve(a, b[..., None])[..., 0],
+                     lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0], a, b)
 
 
 def _newton_parts(m):
@@ -428,7 +427,9 @@ def _lower_bounds(q, cmat, bvec, pi, mu):
 
 def _settle(primal, prod_val, cmat, bound):
     """(value, barrier_wins, gap) for one pair, or per pair of a stack, from
-    the barrier's value and certified bound, both NaN without an interior.
+    the barrier's value (NaN without an interior) and certified bound (-inf
+    without an interior; NaN where an interior's certificate fails, which
+    makes the gap NaN).
 
     The product coupling, whose cost is prod_val, is itself feasible: it
     stands wherever the barrier does no better.  tr[Pi C] >= lambda_min(C)
@@ -440,7 +441,7 @@ def _settle(primal, prod_val, cmat, bound):
     best = np.where(wins, primal, prod_val)
     if (best < -1e-9).any():
         raise InternalConsistencyError(f"negative transport cost {best.min():.3e}")
-    lower = np.fmax(float(np.linalg.eigvalsh(cmat)[0]), bound)
+    lower = np.maximum(float(np.linalg.eigvalsh(cmat)[0]), bound)
     return best, wins, np.maximum(best - lower, 0.0)
 
 
@@ -503,7 +504,7 @@ def _solve_pair(rho, omega, c, cfg: SolverConfig) -> tuple:
         q, fixed, offset, bvec, x0 = _affine_parts(rho, omega, cmat)
         primal, pi, mu, iters = _barrier_minimize(q, fixed, x0, cfg)
         primal += offset
-        bound = _lower_bounds(q, cmat, bvec, pi, mu) if math.isfinite(primal) else math.nan
+        bound = _lower_bounds(q, cmat, bvec, pi, mu) if math.isfinite(primal) else -math.inf
         value, wins, gap = _settle(primal, value, cmat, bound)
         if wins:
             mat = pi
@@ -525,7 +526,7 @@ def _solve_barrier(rhos, omegas, cmat, prod_val, cfg: SolverConfig):
     q, fixed, offset, bvec, x0 = _affine_parts(rhos, omegas, cmat)
     primal, pi, mu, steps = _barrier_minimize_lanes(q, fixed, x0, cfg)
     primal = primal + offset
-    bound = np.full(len(rhos), np.nan)
+    bound = np.full(len(rhos), -np.inf)
     interior = np.isfinite(primal)
     if interior.any():
         bound[interior] = _lower_bounds(q, cmat, bvec[interior], pi[interior], mu[interior])

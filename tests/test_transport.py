@@ -608,3 +608,15 @@ class TestOnePair:
         assert res.solver_status == "converged"
         (br,) = divergence_breakdowns([rho], [omega], C_SYM)
         assert br.solver_status == "converged"
+
+    def test_a_failed_certificate_leaves_the_gap_unknown(self, monkeypatch):
+        # the lambda_min(C) floor stands in only where there is no interior;
+        # an interior whose certificate fails keeps a NaN gap on both paths
+        monkeypatch.setattr(transport, "_lower_bounds", lambda q, cmat, bvec, pi, mu: np.full(np.shape(mu), np.nan))
+        rho, omega = ONE_PAIRS["ball"]
+        res = solve_min_coupling(rho, omega, C_SYM)
+        assert math.isnan(res.duality_gap_or_residual) and res.solver_status == "max_iterations"
+        stacked = solve_min_couplings([rho, NO_INTERIOR[0]], [omega, NO_INTERIOR[1]], C_SYM)
+        assert math.isnan(stacked[0].duality_gap_or_residual) and stacked[0].solver_status == "max_iterations"
+        floor = float(np.linalg.eigvalsh(C_SYM.matrix)[0])
+        assert stacked[1].duality_gap_or_residual == stacked[1].optimal_value - floor
