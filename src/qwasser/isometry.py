@@ -33,7 +33,7 @@ import numpy as np
 
 from .cost import UNITARY_TOL, require_unitary, sym_cost, unitarity_defect, z_cost
 from .errors import DomainError, require_integer, require_positive
-from .linalg import dagger
+from .linalg import dagger, eigh_lo
 from .sampling import derived_rng, draws, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
 from .states import PAULI, bloch_from_state, state_from_bloch, validate_state
 from .transport import _optimal_values, divergence_breakdowns
@@ -153,7 +153,7 @@ def rotation_to_unitary(o) -> np.ndarray:
     t = np.trace(o)
     axial = np.array([o[2, 1] - o[1, 2], o[0, 2] - o[2, 0], o[1, 0] - o[0, 1]])
     horn = np.block([[np.array([[t]]), axial[None]], [axial[:, None], o + o.T - t * np.eye(3)]])
-    w, x, y, z = np.linalg.eigh(horn)[1][:, -1]
+    w, x, y, z = eigh_lo(horn)[1][:, -1]
     return w * PAULI[0] - 1j * (x * PAULI[1] + y * PAULI[2] + z * PAULI[3])
 
 

@@ -6,17 +6,34 @@ Conventions fixed here and relied on by every other module:
 * ``vec`` flattens row-major, so ``vec(a @ x @ b) = tensor(a, transpose_op(b)) @ vec(x)``
   and ``vec(x)^dag vec(y) = tr[x^dag y]``,
 * dual-space objects are plain entrywise transposes in the computational basis.
+
+LAPACK kernels: `cholesky_lo`, `inv`, `solve`, `eigh_lo` and `eigvalsh_lo` are
+the gufuncs behind numpy's public `linalg` functions of those names, bound once
+and called directly (same bits, without the wrappers' per-call checks, which
+cost more than LAPACK's work on a 4x4 or 9x9 matrix).  A matrix a kernel fails
+on (not positive definite, singular, eigenvalues not converged) gets NaN in its
+own lane, the other lanes of a stack are unaffected, and the call raises the
+`invalid` flag (a RuntimeWarning).  Code that expects failures reads the NaN and
+holds one ``np.errstate(invalid="ignore")`` for its whole run (a barrier run, a
+certificate), not one per call; anywhere else a failure warns.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ContractViolation, InternalConsistencyError
 
 HERMITIAN_TOL = 1e-12
 PSD_CLAMP = 1e-10
 IMAG_TOL = 1e-8
+
+cholesky_lo = _umath_linalg.cholesky_lo
+inv = _umath_linalg.inv
+solve = _umath_linalg.solve
+eigh_lo = _umath_linalg.eigh_lo
+eigvalsh_lo = _umath_linalg.eigvalsh_lo
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -71,7 +88,7 @@ def eig_hermitian(m):
     defect = hermiticity_defect(m)
     if not defect <= HERMITIAN_TOL:
         raise ContractViolation(f"eig_hermitian: not finite and Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})")
-    return np.linalg.eigh(m)
+    return eigh_lo(m)
 
 
 def sqrt_psd(m) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import cost_matrix
-from .linalg import partial_trace_first, partial_trace_second, transpose_op
+from .linalg import eigh_lo, eigvalsh_lo, partial_trace_first, partial_trace_second, transpose_op
 from .sampling import derived_rng
 from .states import PAULI, validate_state
 
@@ -101,7 +101,7 @@ _A = np.array(
 
 
 def _psd_project(m):
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    w, v = eigh_lo(0.5 * (m + m.conj().T))
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
@@ -181,7 +181,7 @@ def _al_objective(x, lam_m, lam_p, y, yp, yp_sq, c, b):
     """
     r = _A @ x - b
     # yp is Hermitian only to roundoff; eigh reads the lower triangle alone
-    w, v = np.linalg.eigh(yp - lam_p * _unpack(x))
+    w, v = eigh_lo(yp - lam_p * _unpack(x))
     pos = np.maximum(w, 0.0)
     val = c @ x + y @ r + lam_m * (r @ r) + (pos @ pos - yp_sq) / (2.0 * lam_p)
     grad = c + _A.T @ (y + 2.0 * lam_m * r) - _pack_grad((v * pos) @ v.conj().T)
@@ -214,7 +214,7 @@ def project_to_couplings(m, rho, omega):
     fixed = _marginal_slice(rho_t, omega)
     p = _affine_project(m, fixed)
     for _ in range(_POLISH_ROUNDS):
-        if np.linalg.eigvalsh(p)[0] >= _POLISH_EIG_FLOOR:
+        if eigvalsh_lo(p)[0] >= _POLISH_EIG_FLOOR:
             break
         p = _affine_project(_psd_project(p), fixed)
     return _psd_project(p)
@@ -266,7 +266,7 @@ def oracle_min_coupling(rho, omega, c, seed: int = 0) -> OracleResult:
             m = _unpack(x)
             r = _A @ x - b
             # largest entry modulus of either marginal residual, or the most negative eigenvalue
-            violation = max(float(np.abs(r.view(complex)).max()), -float(np.linalg.eigvalsh(m)[0]))
+            violation = max(float(np.abs(r.view(complex)).max()), -float(eigvalsh_lo(m)[0]))
             y = y + 2.0 * lam_m * r
             yp = _psd_project(yp - lam_p * m)
             if violation < 2e-12:
@@ -282,5 +282,5 @@ def oracle_min_coupling(rho, omega, c, seed: int = 0) -> OracleResult:
 
     r2 = np.abs(partial_trace_second(best_mat) - omega).max()
     r1 = np.abs(partial_trace_first(best_mat) - rho_t).max()
-    min_eig = float(np.linalg.eigvalsh(best_mat)[0])
+    min_eig = float(eigvalsh_lo(best_mat)[0])
     return OracleResult(best_val, best_mat, float(max(r1, r2)), min_eig)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .linalg import HERMITIAN_TOL, require_square
+from .linalg import HERMITIAN_TOL, eigvalsh_lo, require_square
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -92,7 +92,7 @@ def validate_state(m, what: str = "state") -> np.ndarray:
     _require(defect <= HERMITIAN_TOL, what, stacked, lambda i: f"not Hermitian (defect {defect[i]:.3e})")
     tr = flat[:, 0, 0] + flat[:, 1, 1]
     _require(np.abs(tr - 1.0) <= 1e-12, what, stacked, lambda i: f"trace {complex(tr[i]):.15g} is not 1")
-    low = np.linalg.eigvalsh(flat)[:, 0]
+    low = eigvalsh_lo(flat)[:, 0]
     _require(low >= STATE_EIG_FLOOR, what, stacked, lambda i: f"negative eigenvalue {low[i]:.3e}")
     return m
 

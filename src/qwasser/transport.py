@@ -35,6 +35,12 @@ the product is returned with the lower bound tr[Pi C] >= lambda_min(C).  An
 iterate that becomes singular to working precision mid-path ends its pair's
 path there, and the certificate bounds that last iterate like any other; no
 certified bound is taken below lambda_min(C).
+
+Failures are NaN lanes (see `linalg`), read under one
+``np.errstate(invalid="ignore")`` per barrier run and per certificate: a NaN
+log-det is a trial point outside the cone, a NaN g0 an iterate singular to
+working precision, and a NaN Newton step a singular system, which that lane
+alone re-solves by least squares.  No stack is split to find a failing lane.
 """
 
 from __future__ import annotations
@@ -48,11 +54,15 @@ from .cost import cost_matrix
 from .errors import DomainError, InternalConsistencyError, SolverAccuracyError, require_integer, require_positive
 from .linalg import (
     bra_cost_ket,
+    cholesky_lo,
     dagger,
+    eigvalsh_lo,
+    inv,
     partial_trace_first,
     partial_trace_second,
     real_part,
     require_square,
+    solve,
     sqrt_psd,
     tensor,
     transpose_op,
@@ -125,7 +135,7 @@ class Coupling:
         return float(max(r1, r2))
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return float(eigvalsh_lo(self.matrix)[0])
 
 
 @dataclass(frozen=True)
@@ -201,40 +211,20 @@ def _affine_parts(rhos, omegas, cmat):
     return q, fixed, np.einsum("...ij,ji->...", fixed, cmat).real, bvec, x0
 
 
-def _lanewise(fn, lone, *args):
-    """fn(*args) on one lane or a stack of lanes (args[0] is one matrix or a
-    stack of them), with lone(*lane) for each lane on which fn raises
-    LinAlgError.
-
-    numpy raises for the whole stack when one lane fails, so a failing stack
-    is split until the failing lanes are alone.
-    """
-    try:
-        return fn(*args)
-    except np.linalg.LinAlgError:
-        if args[0].ndim == 2:
-            return lone(*args)
-        if len(args[0]) == 1:
-            return lone(*(a[0] for a in args))[None]
-        h = len(args[0]) // 2
-        return np.concatenate([_lanewise(fn, lone, *(a[part] for a in args))
-                               for part in (slice(None, h), slice(h, None))])
-
-
-def _nan_like(m):
-    return np.full_like(m, np.nan)
-
-
 def _logdet_lanes(m):
     """log det of a matrix, or of each matrix of a stack; NaN where Cholesky fails."""
-    ell = _lanewise(np.linalg.cholesky, _nan_like, m)
-    return 2.0 * np.log(ell.diagonal(0, -2, -1).real).sum(axis=-1)
+    return 2.0 * np.add.reduce(np.log(cholesky_lo(m).diagonal(0, -2, -1).real), -1)
 
 
 def _solve_lanes(a, b):
-    """x with a x = b, for one system or each of a stack; least squares where a is singular."""
-    return _lanewise(lambda a, b: np.linalg.solve(a, b[..., None])[..., 0],
-                     lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0], a, b)
+    """x with a x = b, for one system or each of a stack; least squares where
+    a is singular, which `solve` marks with a NaN lane."""
+    x = solve(a, b[..., None])[..., 0]
+    if x.ndim == 1:
+        return np.linalg.lstsq(a, b, rcond=None)[0] if math.isnan(x[0]) else x
+    for i in np.flatnonzero(np.isnan(x[:, 0])):
+        x[i] = np.linalg.lstsq(a[i], b[i], rcond=None)[0]
+    return x
 
 
 def _newton_parts(m):
@@ -245,14 +235,18 @@ def _newton_parts(m):
     x[k] x[l], k <= l, times _TEN.  The barrier's gradient is q - mu g0 and
     its Hessian mu h0.  Both are NaN where M is singular to working precision.
     """
+    if m.ndim == 2:  # one M: the same operations without the stack's reshapes and transposes
+        x = (inv(m).reshape(16) @ _COEF).real
+        return x[_FREE_INDEX], ((x[_K] * x[_L]) @ _TEN)[_H_UNFOLD].reshape(9, 9)
     lead = m.shape[:-2]
     # coefficients on the first axis: indexing whole rows avoids numpy's
     # general index path, which costs more than the gathers on one M
-    xt = (_lanewise(np.linalg.inv, _nan_like, m).reshape(*lead, 16) @ _COEF).real.T
+    xt = (inv(m).reshape(*lead, 16) @ _COEF).real.T
     h0 = ((xt[_K] * xt[_L]).T @ _TEN).T[_H_UNFOLD].T.reshape(*lead, 9, 9)
     return xt[_FREE_INDEX].T, h0
 
 
+@np.errstate(invalid="ignore")  # a failed kernel lane is NaN (see linalg)
 def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
     """Minimize q . v subject to M = m0 + sum_a v[a] F_a being PSD, for one pair.
 
@@ -318,6 +312,7 @@ def _barrier_minimize(q, m0, v0, cfg: SolverConfig):
     return value, mat, mu, iters
 
 
+@np.errstate(invalid="ignore")  # a failed kernel lane is NaN (see linalg)
 def _barrier_minimize_lanes(q, m0, v0, cfg: SolverConfig):
     """`_barrier_minimize` on a stack of problems that share the objective q.
 
@@ -392,6 +387,7 @@ def _barrier_minimize_lanes(q, m0, v0, cfg: SolverConfig):
     return value, mat_out, mu_out, iters_out
 
 
+@np.errstate(invalid="ignore")  # a failed kernel lane is NaN (see linalg)
 def _lower_bounds(q, cmat, bvec, pi, mu):
     """Certified lower bound on min tr[Pi C] from a last iterate, or one per
     iterate of a stack.
@@ -411,7 +407,7 @@ def _lower_bounds(q, cmat, bvec, pi, mu):
     """
     lead = pi.shape[:-2]
     mu = np.asarray(mu)[..., None]
-    linv = np.linalg.inv(np.linalg.cholesky(pi))
+    linv = inv(cholesky_lo(pi))
     linv_h = dagger(linv)
     w = linv[..., None, :, :] @ _FREE @ linv_h[..., None, :, :]
     w_flat = w.reshape(*lead, 9, 16)
@@ -422,7 +418,7 @@ def _lower_bounds(q, cmat, bvec, pi, mu):
     z = mu[..., None] * (linv_h @ (np.eye(4) - step) @ linv)
     y = np.einsum("kij,...ji->...k", _CONSTRAINTS, cmat - z).real / 4.0
     dual_slack = cmat - (y @ _CONSTRAINTS_FLAT).reshape(pi.shape)
-    return (bvec * y).sum(axis=-1) + np.minimum(0.0, np.linalg.eigvalsh(dual_slack)[..., 0])
+    return (bvec * y).sum(axis=-1) + np.minimum(0.0, eigvalsh_lo(dual_slack)[..., 0])
 
 
 def _settle(primal, prod_val, cmat, bound):
@@ -441,7 +437,7 @@ def _settle(primal, prod_val, cmat, bound):
     best = np.where(wins, primal, prod_val)
     if (best < -1e-9).any():
         raise InternalConsistencyError(f"negative transport cost {best.min():.3e}")
-    lower = np.maximum(float(np.linalg.eigvalsh(cmat)[0]), bound)
+    lower = np.maximum(float(eigvalsh_lo(cmat)[0]), bound)
     return best, wins, np.maximum(best - lower, 0.0)
 
 

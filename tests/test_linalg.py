@@ -1,14 +1,23 @@
 """Unit tests for the 2x2/4x4 linear algebra layer."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qwasser
 from qwasser.errors import ContractViolation
 from qwasser.linalg import (
     bra_cost_ket,
+    cholesky_lo,
     eig_hermitian,
+    eigh_lo,
+    eigvalsh_lo,
+    inv,
     partial_trace_first,
     partial_trace_second,
+    solve,
     sqrt_psd,
     tensor,
     transpose_op,
@@ -234,3 +243,103 @@ class TestStacks:
     def test_single_matrix_helpers_reject_stacks(self, call):
         with pytest.raises(ContractViolation):
             call()
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def kernel_inputs(rng, kind, lanes):
+    """(lanes, d, d) positive definite matrices: 2x2 states, 4x4 complex
+    Hermitian, or 9x9 real symmetric; lanes=None gives one matrix."""
+    n = 1 if lanes is None else lanes
+    if kind == "state":
+        b = rng.normal(size=(n, 3))
+        b *= rng.uniform(0.0, 1.0, size=(n, 1)) / np.linalg.norm(b, axis=1, keepdims=True)
+        m = 0.5 * (I2 + np.einsum("nk,kij->nij", b, np.array(PAULI[1:])))
+    else:
+        d, cplx = (4, True) if kind == "herm4" else (9, False)
+        a = rng.normal(size=(n, d, d)) + (1j * rng.normal(size=(n, d, d)) if cplx else 0.0)
+        m = a @ np.swapaxes(a.conj(), -1, -2) + 0.1 * np.eye(d)
+    return m[0] if lanes is None else m
+
+
+def public_and_kernel(rng, name, m):
+    """The public numpy function and the bound kernel, applied to m."""
+    b = rng.normal(size=m.shape[:-1])
+    return {
+        "cholesky": (lambda: np.linalg.cholesky(m), lambda: cholesky_lo(m)),
+        "inv": (lambda: np.linalg.inv(m), lambda: inv(m)),
+        "solve": (lambda: np.linalg.solve(m, b[..., None]), lambda: solve(m, b[..., None])),
+        "eigh": (lambda: tuple(np.linalg.eigh(m)), lambda: eigh_lo(m)),
+        "eigvalsh": (lambda: np.linalg.eigvalsh(m), lambda: eigvalsh_lo(m)),
+    }[name]
+
+
+KERNELS = ("cholesky", "inv", "solve", "eigh", "eigvalsh")
+# the kernels that fail on a lane, each with a stack as its one argument
+FAILING = {"cholesky": cholesky_lo, "inv": inv, "solve": lambda m: solve(m, np.ones((*m.shape[:-1], 1)))}
+
+
+class TestKernels:
+    """The LAPACK kernels bound in `qwasser.linalg` against numpy's public
+    functions, which wrap the same gufuncs; a numpy release that renames or
+    changes the private gufuncs fails here."""
+
+    @pytest.mark.parametrize("lanes", [None, 1, 7])
+    @pytest.mark.parametrize("kind", ["state", "herm4", "spd9"])
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_kernel_matches_the_public_function_bit_for_bit(self, name, kind, lanes):
+        rng = np.random.default_rng(KERNELS.index(name))
+        public, kernel = public_and_kernel(rng, name, kernel_inputs(rng, kind, lanes))
+        want, got = public(), kernel()
+        if name == "eigh":
+            assert all(same_bits(w, g) for w, g in zip(want, got, strict=True))
+        else:
+            assert same_bits(want, got)
+
+    @staticmethod
+    def failing_stack(name):
+        """Five 9x9 SPD lanes, lane 2 replaced by one the kernel fails on."""
+        m = kernel_inputs(np.random.default_rng(5), "spd9", 5)
+        bad = m[2].copy()
+        if name == "cholesky":
+            bad[4, 4] = -1.0  # not positive definite
+        else:
+            bad[:, 6] = 0.0  # an exactly zero column: singular
+        return m, np.concatenate((m[:2], bad[None], m[3:]))
+
+    @pytest.mark.parametrize("name", sorted(FAILING))
+    def test_a_failing_lane_is_nan_and_leaves_the_others(self, name):
+        good, stack = self.failing_stack(name)
+        kernel = FAILING[name]
+        with np.errstate(invalid="ignore"):
+            out, ref = kernel(stack), kernel(good)
+        assert np.isnan(out[2]).all()
+        keep = [0, 1, 3, 4]
+        assert same_bits(out[keep], ref[keep])
+        assert same_bits(out[keep], kernel(good[keep]))
+
+    @pytest.mark.parametrize("name", sorted(FAILING))
+    def test_a_failure_warns_only_outside_an_invalid_ignore_scope(self, name):
+        _, stack = self.failing_stack(name)
+        kernel = FAILING[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                kernel(stack)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            kernel(stack)
+
+
+def test_the_private_gufuncs_are_bound_in_one_place():
+    # every other module takes the kernels from qwasser.linalg, and none
+    # calls the public wrappers these kernels replace
+    src = Path(qwasser.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if path.name != "linalg.py":
+            assert "_umath_linalg" not in text, path.name
+        for fn in ("cholesky", "inv", "solve", "eigh", "eigvalsh"):
+            assert f"np.linalg.{fn}(" not in text, (path.name, fn)

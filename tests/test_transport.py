@@ -1,6 +1,7 @@
 """Unit tests for couplings, the transport solver, and divergences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -474,6 +475,31 @@ class TestNewtonParts:
         g1, h1 = _newton_parts(mats[0])  # one matrix, as the single-pair loop calls it
         assert np.all(np.abs(h1 - h_ref[0]) <= 1e-12 * scale[0])
         assert np.all(np.abs(g1 - g_ref[0]) <= 1e-12 * np.abs(g_ref[0]).max())
+
+    def test_a_singular_lane_fails_alone(self):
+        # a singular M leaves NaN parts in its own lane, and a singular Newton
+        # system is solved by least squares in its own lane, with no warning
+        # inside the barrier's errstate scope
+        from qwasser.transport import _newton_parts, _solve_lanes
+
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        mats = a @ a.conj().transpose(0, 2, 1) + 1e-3 * np.eye(4)
+        mats[1] = 0.0
+        h = rng.normal(size=(3, 9, 9))
+        h = h @ h.transpose(0, 2, 1) + np.eye(9)
+        h[1, :, 3] = 0.0
+        g = rng.normal(size=(3, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                g0, h0 = _newton_parts(mats)
+                x, lone = _solve_lanes(h, g), _solve_lanes(h[1], g[1])
+        assert np.isnan(g0[1]).all() and np.isnan(h0[1]).all()
+        assert np.isfinite(g0[[0, 2]]).all() and np.isfinite(h0[[0, 2]]).all()
+        lstsq = np.linalg.lstsq(h[1], g[1], rcond=None)[0]
+        assert np.array_equal(x[1], lstsq) and np.array_equal(lone, lstsq)
+        assert np.array_equal(x[[0, 2]], np.linalg.solve(h[[0, 2]], g[[0, 2], :, None])[..., 0])
 
 
 def _mixed_stack():
