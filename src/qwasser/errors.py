@@ -34,3 +34,9 @@ def require_positive(name: str, value) -> None:
     """DomainError unless 0 < value < inf, so NaN is rejected too."""
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def require_finite(name: str, value) -> None:
+    """DomainError unless `value` is a finite number (not NaN or +-inf)."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")

@@ -116,6 +116,8 @@ def bra_cost_ket(x, c):
     must be real for Hermitian c."""
     v = vec(x)
     c = require_square(c, (4,), "bra_cost_ket: cost")
+    if not (np.isfinite(v).all() and np.isfinite(c).all()):
+        raise ContractViolation("bra_cost_ket: non-finite entry")
     return real_part(np.einsum("...i,ij,...j->...", v.conj(), c, v), "bra_cost_ket")
 
 

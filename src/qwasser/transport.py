@@ -51,7 +51,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import cost_matrix
-from .errors import DomainError, InternalConsistencyError, SolverAccuracyError, require_integer, require_positive
+from .errors import (
+    ContractViolation,
+    DomainError,
+    InternalConsistencyError,
+    SolverAccuracyError,
+    require_finite,
+    require_integer,
+    require_positive,
+)
 from .linalg import (
     bra_cost_ket,
     cholesky_lo,
@@ -64,7 +72,6 @@ from .linalg import (
     require_square,
     solve,
     sqrt_psd,
-    tensor,
     transpose_op,
     vec,
 )
@@ -171,24 +178,26 @@ class DivergenceBreakdown:
 
 
 def product_coupling(rho, omega) -> Coupling:
-    """The independent coupling omega (x) rho^T."""
+    """The independent coupling omega (x) rho^T: the solver's closed form,
+    bit for bit, where a marginal is pure."""
     rho = validate_state(rho, "rho")
     omega = validate_state(omega, "omega")
-    rho_t = transpose_op(rho)
-    return Coupling(tensor(omega, rho_t), omega, rho_t)
+    return Coupling(_product_couplings(rho, omega)[0], omega, transpose_op(rho))
 
 
 def purification_coupling(rho) -> Coupling:
-    """Rank-one coupling of rho with itself built from vec(sqrt(rho))."""
+    """Rank-one coupling of rho with itself built from vec(sqrt(rho)): the
+    solver's closed form, bit for bit, for identical states."""
     rho = validate_state(rho, "rho")
-    v = vec(sqrt_psd(rho))
-    return Coupling(np.outer(v, v.conj()), rho, transpose_op(rho))
+    return Coupling(_self_couplings(rho)[0], rho, transpose_op(rho))
 
 
 def coupling_cost(pi, c):
     """tr[Pi C], or an array of them for a stack of matrices; the imaginary
     parts must be roundoff."""
     m = pi.matrix if isinstance(pi, Coupling) else require_square(pi, (4,), "coupling_cost", stack=True)
+    if not np.isfinite(m).all():
+        raise ContractViolation("coupling_cost: non-finite entry")
     return real_part(np.einsum("...ij,ji->...", m, cost_matrix(c)), "coupling_cost")
 
 
@@ -461,18 +470,21 @@ def _closed_forms(rhos, omegas, fast_paths: bool):
     return identical, pure
 
 
-def _product_couplings(rhos, omegas, c):
+def _product_couplings(rhos, omegas, c=None):
     """The product coupling omega (x) rho^T of one pair, or of each pair of a
-    stack, and its cost."""
+    stack, and its cost under c (None without c)."""
     mats = np.einsum("...ij,...lk->...ikjl", omegas, rhos).reshape(*rhos.shape[:-2], 4, 4)
-    return mats, coupling_cost(mats, c)
+    return mats, None if c is None else coupling_cost(mats, c)
 
 
-def _self_couplings(rhos, c):
+def _self_couplings(rhos, c=None):
     """The vec(sqrt(rho)) coupling of a state with itself, or of each state of
-    a stack, and its cost."""
-    roots = vec(sqrt_psd(rhos))
-    return roots[..., :, None] * roots[..., None, :].conj(), _self_distance_sq(rhos, c)
+    a stack, and its cost under c (None without c), clamped at zero: the
+    self-distance.  Both come from one square root."""
+    roots = sqrt_psd(rhos)
+    v = vec(roots)
+    mats = v[..., :, None] * v[..., None, :].conj()
+    return mats, None if c is None else np.maximum(bra_cost_ket(roots, cost_matrix(c)), 0.0)
 
 
 def _state_stacks(rhos, omegas) -> list:
@@ -600,15 +612,10 @@ def solve_min_coupling(rho, omega, c, config: SolverConfig | None = None) -> Tra
     return solve_min_couplings([rho], [omega], c, config)[0]
 
 
-def _self_distance_sq(rho, c):
-    """`self_distance_sq` of a validated state or stack."""
-    return np.maximum(bra_cost_ket(sqrt_psd(rho), cost_matrix(c)), 0.0)
-
-
 def self_distance_sq(rho, c):
     """Squared self-distance via the rank-one coupling of vec(sqrt(rho)); a
     stack of states gives an array."""
-    return _self_distance_sq(validate_state(rho, "rho"), c)
+    return _self_couplings(validate_state(rho, "rho"), c)[1]
 
 
 def wasserstein_distance(rho, omega, c, config: SolverConfig | None = None) -> float:
@@ -626,7 +633,7 @@ def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -
     cfg = config if config is not None else SolverConfig()
     rhos, omegas = _state_stacks(rhos, omegas)
     value, _, status, _, _, identical = _solve(rhos, omegas, c, cfg)
-    s1, s2 = _self_distance_sq(np.stack((rhos, omegas)), c)
+    s1, s2 = _self_couplings(np.stack((rhos, omegas)), c)[1]
     # Identical states take s1 as their distance and as s2, so that the
     # radicand cancels to exactly zero.
     dist = np.where(identical, s1, value)
@@ -664,12 +671,15 @@ Z_PUBLISHED_SCALE = 0.25
 
 
 def _sym_self_shape(bloch_norm: float) -> float:
-    """1 - sqrt(1 - |b|^2), with |b| clamped to [0, 1]."""
+    """1 - sqrt(1 - |b|^2), with a finite |b| clamped to [0, 1]."""
+    require_finite("bloch_norm", bloch_norm)
     return 1.0 - math.sqrt(1.0 - min(max(bloch_norm, 0.0) ** 2, 1.0))
 
 
 def _z_self_shape(bloch_norm: float, b3: float) -> float:
     """`_sym_self_shape` times 1 - b3^2/|b|^2; zero at the ball center."""
+    require_finite("bloch_norm", bloch_norm)
+    require_finite("b3", b3)
     r = max(bloch_norm, 0.0)
     if r < 1e-15:
         return 0.0

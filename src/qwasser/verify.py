@@ -38,7 +38,7 @@ from .transport import (
     Z_PUBLISHED_SCALE,
     SolverConfig,
     _optimal_values,
-    coupling_cost,
+    _product_couplings,
     divergence_breakdowns,
     self_distance_sq,
     sym_self_distance_sq_closed,
@@ -159,8 +159,7 @@ def _sym_closed_forms(samples: int, seed: int, tolerance: float) -> list:
     div_devs = np.abs(divs - np.linalg.norm(b1 - b2, axis=1))
 
     pure = state_from_bloch(np.array(draws(seed, 10_000, min(samples, 200), random_bloch_on_sphere)))
-    products = np.einsum("nij,nlk->nikjl", pure, pure).reshape(-1, 4, 4)  # rho (x) rho^T
-    self_pure_devs = np.abs(coupling_cost(products, c) - 4.0)
+    self_pure_devs = np.abs(_product_couplings(pure, pure, c)[1] - 4.0)  # rho (x) rho^T
 
     return [
         _check("pure-pair-cost-6-minus-2-dot", cost_devs, tolerance),

@@ -197,6 +197,18 @@ class TestVecAndBraKet:
     def test_bra_cost_ket_sz(self):
         assert bra_cost_ket(PAULI[3], C_Z) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2)], ids=["one", "stack"])
+    def test_bra_cost_ket_rejects_a_non_finite_operator_or_cost(self, bad, shape):
+        x = np.broadcast_to(I2 / np.sqrt(2), shape).copy()
+        x[..., 0, 1] = bad
+        with pytest.raises(ContractViolation, match="bra_cost_ket"):
+            bra_cost_ket(x, C_Z)
+        cost = C_Z.copy()
+        cost[2, 1] = bad
+        with pytest.raises(ContractViolation, match="bra_cost_ket"):
+            bra_cost_ket(np.broadcast_to(I2, shape), cost)
+
 
 class TestStacks:
     def test_stack_matches_per_matrix_calls(self):

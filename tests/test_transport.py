@@ -105,6 +105,18 @@ class TestCouplingCost:
         with pytest.raises(InternalConsistencyError):
             coupling_cost(1j * np.eye(4) / 4, C_SYM)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("stack", [False, True], ids=["one", "stack"])
+    def test_rejects_a_non_finite_matrix(self, bad, stack):
+        # the caller's input, not the program, is at fault: the shape check's error
+        m = np.stack([np.eye(4) / 4] * 3) if stack else np.eye(4) / 4
+        m = m.astype(complex)
+        m[..., 1, 2] = bad
+        rho = state_from_bloch([0.1, 0.2, 0.3])
+        for pi in (m, Coupling(m[0] if stack else m, rho, rho.T)):
+            with pytest.raises(ContractViolation, match="coupling_cost"):
+                coupling_cost(pi, C_SYM)
+
     @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 2, 2), (4,)])
     def test_rejects_a_matrix_that_is_not_4x4(self, shape):
         with pytest.raises(ContractViolation, match="coupling_cost"):
@@ -350,6 +362,27 @@ class TestSelfDistance:
             assert self_distance_sq(rho, C_Z) == pytest.approx(
                 z_self_distance_sq_closed(r, float(b[2])), abs=1e-10
             )
+
+    @pytest.mark.parametrize("law,args", [
+        (sym_self_distance_sq_closed, (math.nan,)),
+        (sym_self_distance_sq_closed, (math.inf,)),
+        (sym_self_distance_sq_published, (-math.inf,)),
+        (sym_self_distance_sq_published, (math.nan,)),
+        (z_self_distance_sq_closed, (math.inf, 0.0)),
+        (z_self_distance_sq_closed, (-math.inf, 0.0)),
+        (z_self_distance_sq_closed, (0.5, math.nan)),
+        (z_self_distance_sq_published, (np.float64(math.nan), 0.1)),
+        (z_self_distance_sq_published, (0.5, -math.inf)),
+        (z_self_distance_sq_published, (0.0, math.inf)),
+    ])
+    def test_closed_form_laws_reject_non_finite_arguments(self, law, args):
+        # a finite |b| is clamped to [0, 1]; NaN and inf are not numbers to clamp
+        with pytest.raises(DomainError, match="finite"):
+            law(*args)
+
+    def test_closed_form_laws_clamp_a_finite_norm(self):
+        assert sym_self_distance_sq_closed(1.5) == sym_self_distance_sq_closed(1.0) == 4.0
+        assert sym_self_distance_sq_published(-0.5) == z_self_distance_sq_closed(-0.5, 0.3) == 0.0
 
     def test_published_scales(self):
         assert sym_self_distance_sq_published(0.8) == pytest.approx(
@@ -646,3 +679,54 @@ class TestOnePair:
         assert math.isnan(stacked[0].duality_gap_or_residual) and stacked[0].solver_status == "max_iterations"
         floor = float(np.linalg.eigvalsh(C_SYM.matrix)[0])
         assert stacked[1].duality_gap_or_residual == stacked[1].optimal_value - floor
+
+
+def _exact_pairs():
+    """(kind, rho, omega) with a closed-form or no-interior result: pure and
+    mixed marginals in both orders, the no-interior pair, and identical states."""
+    rng = derived_rng(3004, 0)
+    pairs = [("no-interior", *NO_INTERIOR)]
+    for _ in range(6):
+        pure = state_from_bloch(random_bloch_on_sphere(rng))
+        mixed = state_from_bloch(random_bloch_in_ball(rng))
+        pairs += [("product", pure, mixed), ("product", mixed, pure), ("identical", mixed, mixed.copy())]
+    return pairs
+
+
+class TestExactCouplings:
+    """Each exact result is its public builder's coupling, bit for bit."""
+
+    @pytest.mark.parametrize("c", [C_SYM, C_Z], ids=["sym", "z"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    def test_results_are_the_builders_couplings(self, c, stacked):
+        pairs = _exact_pairs()
+        if stacked:
+            results = solve_min_couplings([p[1] for p in pairs], [p[2] for p in pairs], c)
+        else:
+            results = [solve_min_coupling(rho, omega, c) for _, rho, omega in pairs]
+        for (kind, rho, omega), res in zip(pairs, results):
+            if kind == "identical":
+                # the cost is bra_cost_ket of vec(sqrt(rho)), the self-distance
+                built, value = purification_coupling(rho), self_distance_sq(rho, c)
+            else:
+                built = product_coupling(rho, omega)
+                value = coupling_cost(built, c)
+            assert res.solver_status == ("max_iterations" if kind == "no-interior" else "closed_form")
+            assert res.optimal_value == value
+            assert np.array_equal(res.optimal_coupling.matrix, built.matrix)
+
+    def test_one_square_root_per_solve_with_identical_lanes(self, monkeypatch):
+        # the identical lanes' couplings and costs come from one sqrt_psd call
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return sqrt_psd(m)
+
+        monkeypatch.setattr(transport, "sqrt_psd", counted)
+        rho, other = state_from_bloch([0.3, -0.2, 0.1]), state_from_bloch([-0.4, 0.1, 0.5])
+        solve_min_coupling(rho, rho, C_SYM)
+        assert calls == [(2, 2)]
+        calls.clear()
+        solve_min_couplings([rho, other, other], [rho, rho, other], C_Z)
+        assert calls == [(2, 2, 2)]
