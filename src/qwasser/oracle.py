@@ -14,6 +14,11 @@ inverse Hessian yields no step, `minimize` resets it to the identity and
 retries; each start begins from the identity.  The best candidate is
 restored to exact feasibility by a short alternating-projection polish, so the
 reported value is the cost of an explicitly (near-machine) feasible coupling.
+That polish ends on the cone, about 1e-12 off the marginal slice, so the value
+may undercut the optimum by that much times the dual multipliers.  `upper`
+projects the best candidate back onto the slice and mixes it with the product
+coupling into the cone: its cost is an upper bound on the optimum up to the
+rounding of one evaluation.
 
 The objective works on x itself: the cost is the linear form tr[C m] = c . x
 and both marginal residuals are one real 16x16 map, A x - b, built once at
@@ -57,6 +62,7 @@ class OracleResult:
     matrix: np.ndarray
     marginal_residual: float
     min_eigenvalue: float
+    upper: float  # cost of a coupling on the marginal slice and in the cone
 
 
 def _basis() -> np.ndarray:
@@ -220,6 +226,20 @@ def project_to_couplings(m, rho, omega):
     return _psd_project(p)
 
 
+def _upper_bound(m, rho_t, omega, cmat) -> float:
+    """Cost of m projected onto the marginal slice, then mixed with the
+    product coupling P = omega (x) rho^T, with weight
+    t = -lambda_min / (lambda_min(P) - lambda_min) on P where the projection
+    left the cone (all of P where lambda_min(P) is no larger)."""
+    p = _affine_project(m, _marginal_slice(rho_t, omega))
+    lam = float(eigvalsh_lo(p)[0])
+    if lam < 0.0:
+        product = np.kron(omega, rho_t)
+        spread = float(eigvalsh_lo(product)[0]) - lam
+        p = p + (min(-lam / spread, 1.0) if spread > 0.0 else 1.0) * (product - p)
+    return float(np.einsum("ij,ji->", p, cmat).real)
+
+
 def oracle_min_coupling(rho, omega, c, seed: int = 0) -> OracleResult:
     """Augmented-Lagrangian descent from `_STARTS` starts over the 16-parameter coupling set."""
     rho = validate_state(rho, "rho")
@@ -283,4 +303,4 @@ def oracle_min_coupling(rho, omega, c, seed: int = 0) -> OracleResult:
     r2 = np.abs(partial_trace_second(best_mat) - omega).max()
     r1 = np.abs(partial_trace_first(best_mat) - rho_t).max()
     min_eig = float(eigvalsh_lo(best_mat)[0])
-    return OracleResult(best_val, best_mat, float(max(r1, r2)), min_eig)
+    return OracleResult(best_val, best_mat, float(max(r1, r2)), min_eig, _upper_bound(best_mat, rho_t, omega, cmat))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwasser import transport
 from qwasser.cost import sym_cost, z_cost
 from qwasser.sampling import derived_rng, random_bloch_in_ball, random_bloch_on_sphere
 from qwasser.states import state_from_bloch
@@ -170,3 +171,52 @@ def test_near_pure_marginal_is_certified(near, log_defect, other, other_norm, na
         assert res.duality_gap_or_residual <= TOL
     assert 0.0 <= ab.optimal_value <= coupling_cost(product_coupling(rho, omega), c)
     assert ab.optimal_value == pytest.approx(ba.optimal_value, abs=1e-6)
+
+
+def test_a_polished_bound_is_charged_its_rounding(monkeypatch):
+    # 1 - |b_rho| = 1e-13.  The polish's multipliers are about 7e6 here, so
+    # b . y and lambda_min(C - sum_k y[k] G_k) lose about 1e-9 to rounding.
+    # Without that charge the polish certified [5.027709009126,
+    # 5.027709009277] (gap 1.5e-10), above the barrier's own last iterate,
+    # 5.027709009065; 50-digit arithmetic put the bound of its y 7e-10 lower.
+    rng = derived_rng(7, 9)
+    rho = state_from_bloch(random_bloch_on_sphere(rng) * (1.0 - 1e-13))
+    omega = state_from_bloch(random_bloch_in_ball(rng))
+    c = COSTS["sym"]
+    res = solve_min_coupling(rho, omega, c)
+    assert res.solver_status == ("converged" if res.duality_gap_or_residual <= TOL else "max_iterations")
+    monkeypatch.setattr(transport, "_polish_pair", lambda q, m0, v, mat, *args: (0, v, mat, math.nan, math.inf))
+    barrier = solve_min_coupling(rho, omega, c)
+    assert lower_bound(res) <= barrier.optimal_value
+    assert lower_bound(barrier) <= res.optimal_value
+
+
+@pytest.mark.parametrize("log_defect,name,i", [(-13, "sym", 11), (-14, "z", 5), (-12, "sym", 0), (-12, "z", 1)])
+def test_near_pure_couplings_stay_in_the_cone(log_defect, name, i):
+    # on the first two pairs the barrier's last iterate has lambda_min -3e-17
+    # by eigvalsh (Cholesky passes), and a polished coupling with -1.6e-13 was
+    # once "mixed" with it by a negative weight and certified with gap 0
+    rng = derived_rng(7, i)
+    rho = state_from_bloch(random_bloch_on_sphere(rng) * (1.0 - 10.0**log_defect))
+    omega = state_from_bloch(random_bloch_in_ball(rng))
+    res = solve_min_coupling(rho, omega, COSTS[name])
+    assert res.optimal_coupling.min_eigenvalue() >= -1e-14
+    assert res.optimal_coupling.marginal_residual() <= 1e-14
+    assert res.solver_status == ("converged" if res.duality_gap_or_residual <= TOL else "max_iterations")
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+def test_a_loose_polish_is_held_for_a_tighter_one(stacked):
+    # z cost, both marginals mixed, and an optimum that is not strictly
+    # complementary, so Newton's method converges only linearly: the polishes
+    # at mu = 3.4e-4 and 1e-5 stop at gaps 1.1e-6 and 3.9e-9, where the
+    # barrier alone certified 1.29e-9.  The second is held for one stage, and
+    # the third polish certifies 2.4e-14.
+    rho = state_from_bloch((-0.13612517564913634, 0.6403166696020859, -0.37733230717716776))
+    omega = state_from_bloch((0.5115900377042056, -0.28336494819459085, 0.6768981312348102))
+    if stacked:
+        res = solve_min_couplings([rho, rho], [omega, omega], COSTS["z"])[0]
+    else:
+        res = solve_min_coupling(rho, omega, COSTS["z"])
+    assert res.solver_status == "converged"
+    assert res.duality_gap_or_residual <= 1e-12

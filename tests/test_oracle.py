@@ -17,6 +17,10 @@ from qwasser.transport import self_distance_sq, solve_min_coupling
 
 C_SYM = sym_cost()
 C_Z = z_cost()
+# Rounding allowance on the oracle's upper bound against the solver's
+# certified lower bound: two evaluations of an O(1) cost, with multipliers of
+# order 100 near these pairs' near-pure marginals.
+UPPER_ROUNDING = 1e-12
 
 
 class TestOracleKnownValues:
@@ -68,12 +72,15 @@ class TestOracleVsSolver:
     @pytest.mark.parametrize("j", [72, 96])
     def test_stays_above_the_certified_lower_bound(self, j):
         # one marginal near pure (1 - |b| = 1.3e-4 on pair 72, 1.8e-3 on pair 96): a
-        # coupling off its marginals by r can undercut the optimum by about |dual| r
+        # coupling off its marginals by r can undercut the optimum by about |dual| r,
+        # and the value did, by up to 1.3e-10 against gaps near 1e-13.  The upper
+        # bound's coupling is on the slice and in the cone, so only the rounding
+        # of the two evaluations (UPPER_ROUNDING) separates it from the optimum
         rho, omega = self._criterion_9_pair(j)
         for c in (C_SYM, C_Z):
             sdp = solve_min_coupling(rho, omega, c)
             orc = oracle_min_coupling(rho, omega, c, seed=j)
-            assert orc.value >= sdp.optimal_value - sdp.duality_gap_or_residual
+            assert orc.upper >= sdp.optimal_value - sdp.duality_gap_or_residual - UPPER_ROUNDING
             assert orc.value == pytest.approx(sdp.optimal_value, abs=1e-8)
             assert orc.marginal_residual <= 1e-11
 

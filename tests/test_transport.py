@@ -382,7 +382,22 @@ class TestSelfDistance:
 
     def test_closed_form_laws_clamp_a_finite_norm(self):
         assert sym_self_distance_sq_closed(1.5) == sym_self_distance_sq_closed(1.0) == 4.0
-        assert sym_self_distance_sq_published(-0.5) == z_self_distance_sq_closed(-0.5, 0.3) == 0.0
+        assert sym_self_distance_sq_published(-0.5) == z_self_distance_sq_closed(-0.5, 0.0) == 0.0
+
+    @pytest.mark.parametrize("law", [z_self_distance_sq_closed, z_self_distance_sq_published])
+    @pytest.mark.parametrize("args", [(0.5, 0.7), (0.2, -0.9), (0.0, 0.1), (-0.5, 0.3), (1.0, 1.0 + 1e-9)])
+    def test_z_laws_reject_a_b3_beyond_the_norm(self, law, args):
+        # no Bloch vector has |b3| > |b|; these once returned 0.0
+        with pytest.raises(DomainError, match="exceeds the Bloch norm"):
+            law(*args)
+
+    @pytest.mark.parametrize("law", [z_self_distance_sq_closed, z_self_distance_sq_published])
+    def test_z_laws_accept_a_b3_at_the_norm(self, law):
+        # a z-axis state, and the last-bit excess of a computed norm
+        b = np.array([1e-9, 0.0, -0.6])
+        assert law(0.6, 0.6) == law(0.6, -0.6) == 0.0
+        assert law(float(np.linalg.norm(b)), float(b[2])) == pytest.approx(0.0, abs=1e-15)
+        assert law(0.6, 0.6 + 1e-13) == 0.0
 
     def test_published_scales(self):
         assert sym_self_distance_sq_published(0.8) == pytest.approx(
@@ -593,16 +608,12 @@ class TestBatchedSolve:
             divergence_breakdowns([rho], [rho, rho], C_SYM)
 
 
-# Single-pair results recorded before the one-pair path ran scalar code from
-# end to end, when it ran the scalar loop between a stacked prologue and a
-# stacked certificate.  `optimal_value` and `duality_gap_or_residual` of each
-# matched that path bit for bit.
 ONE_PAIRS = {
     "ball": (state_from_bloch((0.3, -0.2, 0.4)), state_from_bloch((-0.1, 0.5, 0.2))),
     "shell": (state_from_bloch(np.array([0.6, 0.0, 0.8]) * (1.0 - 1e-4)), state_from_bloch((-0.2, 0.3, -0.1))),
     "no-interior": NO_INTERIOR,
     "near-pure": (NEAR_PURE_X, NEAR_PURE_MINUS_Z),
-    # the CLI's near-pure repro: exit 3 after 20 steps under the sym cost
+    # the CLI's near-pure repro: exit 3 under the sym cost
     "cli-near-pure": (
         state_from_bloch((-0.9434261702775069, -0.24476926919353414, -0.2236851941765033)),
         state_from_bloch((-0.16702735492270018, 0.7890907436060359, 0.09388218771759121)),
@@ -611,6 +622,24 @@ ONE_PAIRS = {
 }
 ONE_PAIR_PINS = [
     # pair, cost, config, optimal_value, duality_gap_or_residual, iterations, solver_status
+    ("ball", "sym", None, 3.3228152770296164, 4.529709940470639e-14, 15, "converged"),
+    ("ball", "z", None, 0.4025029365741428, 2.270406085358445e-14, 26, "converged"),
+    ("shell", "sym", None, 6.365169744944822, 8.046896482483135e-13, 10, "converged"),
+    ("shell", "z", None, 2.1431309440657054, 3.3661962106634746e-13, 10, "converged"),
+    ("no-interior", "sym", None, 6.316155277258398, 6.316155277258398, 0, "max_iterations"),
+    ("no-interior", "z", None, 1.9919252206210696, 1.9919252206210696, 0, "max_iterations"),
+    ("near-pure", "sym", None, 5.9991055728324625, 1.6904699862152484e-11, 55, "converged"),
+    ("near-pure", "z", None, 1.9999998000000323, 6.7263972169939734e-12, 61, "converged"),
+    # no polish certifies these lanes (their steps count), and the barrier's path ends as before
+    ("cli-near-pure", "sym", None, 6.11313349296154, 0.0001778897155739756, 34, "max_iterations"),
+    ("cli-near-pure", "z", None, 2.041999243510729, 0.00014233575198296933, 500, "max_iterations"),
+    ("identical", "sym", FORCED, 0.6295400907294644, 4.285460875053104e-14, 19, "converged"),
+    ("identical", "z", FORCED, 0.1411038134394209, 6.850076061937216e-14, 17, "converged"),
+]
+# The same solves before the polish, when every lane ran the barrier to
+# tolerance / 32 and took `_lower_bounds`' certificate: a lane whose polish
+# never certifies gets these results bit for bit.
+FALLBACK_PINS = [
     ("ball", "sym", None, 3.3228152776752022, 1.270586746926483e-09, 28, "converged"),
     ("ball", "z", None, 0.4025029372226885, 1.27355048729072e-09, 30, "converged"),
     ("shell", "sym", None, 6.365169745606547, 1.286817763457293e-09, 23, "converged"),
@@ -625,26 +654,54 @@ ONE_PAIR_PINS = [
     ("identical", "z", FORCED, 0.1411038144938015, 1.3669406995209243e-09, 35, "converged"),
 ]
 COSTS = {"sym": C_SYM, "z": C_Z}
+# Rounding allowance on comparisons of two computed values near 1.
+ROUNDING = 1e-12
+
+
+def _solve_one(entry_point, pair, cost, config):
+    rho, omega = ONE_PAIRS[pair]
+    if entry_point == "solve_min_coupling":
+        return solve_min_coupling(rho, omega, COSTS[cost], config)
+    (res,) = solve_min_couplings([rho], [omega], COSTS[cost], config)
+    return res
+
+
+def decline_polish(monkeypatch):
+    """Make every polish decline at once, as if no lane were ever centred below _POLISH_MU."""
+    monkeypatch.setattr(transport, "_polish_pair", lambda q, m0, v, mat, *args: (0, v, mat, math.nan, math.inf))
+    monkeypatch.setattr(transport, "_polish_lanes", lambda q, m0, v, mat, *args: (
+        np.zeros(len(v), dtype=int), v, mat, np.full(len(v), np.nan), np.full(len(v), np.inf)))
 
 
 class TestOnePair:
     @pytest.mark.parametrize("entry_point", ["solve_min_coupling", "solve_min_couplings"])
     @pytest.mark.parametrize("pair,cost,config,value,gap,iterations,status", ONE_PAIR_PINS)
     def test_results_are_pinned(self, entry_point, pair, cost, config, value, gap, iterations, status):
-        rho, omega = ONE_PAIRS[pair]
-        if entry_point == "solve_min_coupling":
-            res = solve_min_coupling(rho, omega, COSTS[cost], config)
-        else:
-            (res,) = solve_min_couplings([rho], [omega], COSTS[cost], config)
+        res = _solve_one(entry_point, pair, cost, config)
         assert (res.iterations, res.solver_status) == (iterations, status)
-        assert res.optimal_value == pytest.approx(value, abs=1e-12)
-        assert res.duality_gap_or_residual == pytest.approx(gap, abs=1e-12)
+        assert (res.optimal_value, res.duality_gap_or_residual) == (value, gap)
+
+    @pytest.mark.parametrize("entry_point", ["solve_min_coupling", "solve_min_couplings"])
+    @pytest.mark.parametrize("pair,cost,config,value,gap,iterations,status", FALLBACK_PINS)
+    def test_a_declined_polish_leaves_the_barrier_path_as_it_was(self, monkeypatch, entry_point, pair, cost, config,
+                                                                 value, gap, iterations, status):
+        decline_polish(monkeypatch)
+        res = _solve_one(entry_point, pair, cost, config)
+        assert (res.optimal_value, res.duality_gap_or_residual, res.iterations, res.solver_status) == (
+            value, gap, iterations, status)
+
+    @pytest.mark.parametrize("pin,fallback", zip(ONE_PAIR_PINS, FALLBACK_PINS), ids=[
+        f"{p[0]}-{p[1]}" for p in ONE_PAIR_PINS])
+    def test_each_interval_lies_inside_the_fallback_interval(self, pin, fallback):
+        # both intervals [value - gap, value] hold the optimum; the polished one is no wider
+        assert pin[:3] == fallback[:3]
+        value, gap, old_value, old_gap = pin[3], pin[4], fallback[3], fallback[4]
+        assert old_value - old_gap - ROUNDING <= value - gap <= value <= old_value + ROUNDING
 
     @pytest.mark.parametrize("pair,fields", [
-        ("ball", (3.3228152776752022, 0.6295400907294566, 0.6533598938636977, 2.681365285378625,
-                  1.6374874916708906)),
-        ("shell", (6.365169745606547, 3.943432871736327, 0.2905526018017188, 4.248177008837525,
-                   2.061110625084817)),
+        ("ball", (3.3228152770296164, 0.6295400907294566, 0.6533598938636977, 2.6813652847330394,
+                  1.6374874914737636)),
+        ("shell", (6.365169744944822, 3.943432871736327, 0.2905526018017188, 4.2481770081758, 2.0611106249242908)),
     ])
     def test_divergence_breakdown_is_pinned(self, pair, fields):
         br = divergence_breakdown(*ONE_PAIRS[pair], C_SYM)
@@ -670,7 +727,9 @@ class TestOnePair:
 
     def test_a_failed_certificate_leaves_the_gap_unknown(self, monkeypatch):
         # the lambda_min(C) floor stands in only where there is no interior;
-        # an interior whose certificate fails keeps a NaN gap on both paths
+        # an interior whose certificates (the polish's and the last
+        # iterate's) both fail keeps a NaN gap on both paths
+        decline_polish(monkeypatch)
         monkeypatch.setattr(transport, "_lower_bounds", lambda q, cmat, bvec, pi, mu: np.full(np.shape(mu), np.nan))
         rho, omega = ONE_PAIRS["ball"]
         res = solve_min_coupling(rho, omega, C_SYM)

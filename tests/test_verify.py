@@ -25,14 +25,14 @@ SEED0_FIGURES = {
         ("pure-pair-cost-6-minus-2-dot", 500, 1.7763568394002505e-15),
         ("pure-pair-divergence-euclidean", 500, 1.5178466475362917e-07),
         ("pure-self-product-cost-4", 200, 1.7763568394002505e-15),
-        ("self-distance-sdp-purification-closed-form", 500, 1.0997500687892625e-09),
+        ("self-distance-sdp-purification-closed-form", 500, 5.262457136723242e-13),
         ("published-self-distance-formula-flagged", 500, 8.881784197001252e-15),
     ],
     "z-closed-forms": [
         ("pure-pair-cost-2-minus-2-zw", 500, 8.881784197001252e-16),
-        ("diagonal-pair-classical-cost", 100, 3.971516449041701e-10),
+        ("diagonal-pair-classical-cost", 100, 1.2168044349891716e-13),
         ("pole-pair-squared-diameter-4", 1, 0.0),
-        ("self-distance-sdp-purification-closed-form", 500, 1.0995790944434702e-09),
+        ("self-distance-sdp-purification-closed-form", 500, 9.153788838034416e-12),
         ("published-self-distance-formula-flagged", 500, 3.9968028886505635e-15),
     ],
     "dsym-isometries": [
