@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import HERMITIAN_TOL, dagger, hermiticity_defect, require_square, tensor, transpose_op, vec
+from .linalg import HERMITIAN_TOL, dagger, hermiticity_defect, require_square, tensor, transpose_op
 from .states import PAULI
 
 UNITARY_TOL = 1e-10
@@ -96,8 +96,3 @@ def cost_matrix(c) -> np.ndarray:
     if not isinstance(c, CostOperator):
         raise DomainError(f"cost: expected a CostOperator from build_cost, got {type(c).__name__}")
     return c.matrix
-
-
-def kernel_residual(c: CostOperator) -> float:
-    """|C @ vec(I)| -- zero for every generator-built cost."""
-    return float(np.abs(c.matrix @ vec(np.eye(2, dtype=complex))).max())

@@ -36,7 +36,7 @@ from .errors import DomainError, require_integer, require_positive
 from .linalg import dagger, eigh_lo
 from .sampling import derived_rng, draws, random_bloch_in_ball, random_bloch_on_sphere, random_unitary
 from .states import PAULI, bloch_from_state, state_from_bloch, validate_state
-from .transport import _optimal_values, divergence_breakdowns
+from .transport import _divergences, _solve_pairs
 
 METRICS = ("D_sym", "D_z", "d_sym")
 
@@ -157,13 +157,6 @@ def rotation_to_unitary(o) -> np.ndarray:
     return w * PAULI[0] - 1j * (x * PAULI[1] + y * PAULI[2] + z * PAULI[3])
 
 
-def bloch_action_matrix(u) -> np.ndarray:
-    """3x3 matrix of the Bloch-vector action of rho -> u rho u^dag."""
-    u = require_unitary(u)
-    rhos = 0.5 * (PAULI[0] + np.array(PAULI[1:]))
-    return bloch_from_state(u @ rhos @ dagger(u)).T
-
-
 def fixed_panel_states() -> np.ndarray:
     """Distinguished states every harness visits, as a (7, 2, 2) stack: poles,
     equatorial pures, center."""
@@ -202,14 +195,13 @@ def sample_state_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _metric_values(metrics, rhos, omegas) -> dict:
     """Each metric of `metrics` on each pair (rhos[i], omegas[i]), from one
-    batched solve: D_sym and d_sym share one `divergence_breakdowns` call."""
+    batched solve: D_sym and d_sym share the arrays of one `_divergences` call."""
     if "d_sym" in metrics:
-        breakdowns = divergence_breakdowns(rhos, omegas, sym_cost())
-        return {"D_sym": np.sqrt([b.distance_sq for b in breakdowns]),
-                "d_sym": np.array([b.divergence for b in breakdowns])}
+        dist, *_, div = _divergences(rhos, omegas, sym_cost())[1]
+        return {"D_sym": np.sqrt(dist), "d_sym": div}
     (metric,) = metrics
     c = sym_cost() if metric == "D_sym" else z_cost()
-    return {metric: np.sqrt(_optimal_values(rhos, omegas, c))}
+    return {metric: np.sqrt(_solve_pairs(rhos, omegas, c).value)}
 
 
 def _check_isometries(state_maps: list, seeds: list, metrics, n_samples: int, tol, n_states: int = 0) -> tuple:

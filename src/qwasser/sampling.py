@@ -46,13 +46,3 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random element of SO(3)."""
-    z = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(z)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 2] = -q[:, 2]
-    return q

@@ -21,15 +21,17 @@ b . y + min(0, lambda_min(S)) is charged for its own rounding, which near a
 pure marginal (y of order 1 / sqrt(1 - |b|)) decides whether it certifies.
 A lane no polish certifies follows the barrier to tolerance / 32, whose last
 Newton step yields the dual point of the reported gap, bit for bit as before
-the polish unless the polish's steps use up the iteration budget first.  `solve_min_couplings` runs the same rules on a stack of pairs at
-once, lane by lane, and polishes the lanes centred at one step as one stack.
-One pair, whichever entry point it comes through, runs scalar code from end
-to end: a single-pair loop, and the closed-form decisions, the affine parts,
-the certificate and the choice of result on (2, 2), (4, 4) and (9, 9) arrays
+the polish unless the polish's steps use up the iteration budget first.
+`solve_min_couplings` runs the same rules on a stack of pairs at once, lane
+by lane, and polishes the lanes centred at one step as one stack.  One pair,
+whichever entry point it comes through, runs scalar code from end to end: a
+single-pair loop, and the closed-form decisions, the affine parts, the
+certificate and the choice of result on (2, 2), (4, 4) and (9, 9) arrays
 rather than on stacks of one.  Both paths build the Newton system with
 `_newton_parts` and share the polish's steps, the certificates, the
 closed-form decisions, the product fallback and the status rule, each
-written once for one pair or a stack.
+written once for one pair or a stack.  Both return one `SolveRecord` of
+per-pair arrays, off which every result and divergence is read.
 
 Closed paths (exact, no iteration):
 
@@ -211,7 +213,23 @@ class TransportResult:
     optimal_coupling: Coupling
     solver_status: str  # "closed_form" | "converged" | "max_iterations"
     duality_gap_or_residual: float
-    iterations: int  # Newton steps of the one barrier run; 0 on closed forms
+    iterations: int  # Newton steps of the barrier and its polishes; 0 on closed forms
+
+
+@dataclass(frozen=True)
+class SolveRecord:
+    """One solve of N pairs as per-pair arrays: the validated (N, 2, 2)
+    states, value, (N, 4, 4) coupling, status list, gap, iterations and the
+    mask of pairs taken as identical states.  Every result is read off it."""
+
+    rhos: np.ndarray
+    omegas: np.ndarray
+    value: np.ndarray
+    coupling: np.ndarray
+    status: list
+    gap: np.ndarray
+    iterations: np.ndarray
+    identical: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -682,21 +700,9 @@ def _self_couplings(rhos, c=None):
     return mats, None if c is None else np.maximum(bra_cost_ket(roots, cost_matrix(c)), 0.0)
 
 
-def _state_stacks(rhos, omegas) -> list:
-    """Validated (N, 2, 2) stacks of the first and second states of N pairs."""
-    stacks = [
-        validate_state(states if len(states) else np.empty((0, 2, 2)), what).reshape(-1, 2, 2)
-        for states, what in ((rhos, "rho"), (omegas, "omega"))
-    ]
-    if len(stacks[0]) != len(stacks[1]):
-        raise DomainError(f"{len(stacks[0])} first states but {len(stacks[1])} second states")
-    return stacks
-
-
-def _solve_pair(rho, omega, c, cfg: SolverConfig) -> tuple:
-    """`_solve` for one validated pair, in scalar code from end to end: value,
-    coupling matrix, status, gap, iterations, and whether the pair was taken
-    as identical states."""
+def _solve_pair(rhos, omegas, c, cfg: SolverConfig) -> SolveRecord:
+    """`_solve` for a stack of one validated pair, in scalar code from end to end."""
+    rho, omega = rhos[0], omegas[0]
     cmat = cost_matrix(c)
     mat, value = _product_couplings(rho, omega, c)
     gap, iters = 0.0, 0
@@ -712,8 +718,9 @@ def _solve_pair(rho, omega, c, cfg: SolverConfig) -> tuple:
         value, wins, gap = _settle(primal, value, cmat, bound)
         if wins:
             mat = pi
-    return (max(float(value), 0.0), mat, _status(identical or pure, gap, cfg.tolerance), float(gap), iters,
-            bool(identical))
+    status = [_status(identical or pure, gap, cfg.tolerance)]
+    return SolveRecord(rhos, omegas, np.array([max(float(value), 0.0)]), mat[None], status, np.array([gap]),
+                       np.array([iters]), identical[None])
 
 
 # Most lanes one batched barrier runs.  The cap bounds memory: temporaries take
@@ -739,13 +746,11 @@ def _solve_barrier(rhos, omegas, cmat, prod_val, cfg: SolverConfig):
     return best, wins, pi, gap, steps
 
 
-def _solve(rhos, omegas, c, cfg: SolverConfig):
-    """`solve_min_couplings` on validated (N, 2, 2) stacks, as per-pair
-    arrays: values, coupling matrices, status list, gaps and iterations, and
-    the mask of pairs taken as identical states.  One pair runs `_solve_pair`."""
+def _solve(rhos, omegas, c, cfg: SolverConfig) -> SolveRecord:
+    """`solve_min_couplings` on validated (N, 2, 2) stacks, as a `SolveRecord`.
+    One pair runs `_solve_pair`."""
     if len(rhos) == 1:
-        value, mat, status, gap, iters, identical = _solve_pair(rhos[0], omegas[0], c, cfg)
-        return np.array([value]), mat[None], [status], np.array([gap]), np.array([iters]), np.array([identical])
+        return _solve_pair(rhos, omegas, c, cfg)
     cmat = cost_matrix(c)
     n = len(rhos)
     mats, prod_val = _product_couplings(rhos, omegas, c)
@@ -767,13 +772,16 @@ def _solve(rhos, omegas, c, cfg: SolverConfig):
 
     closed = identical | pure
     status = [_status(closed[i], gap[i], cfg.tolerance) for i in range(n)]
-    return np.maximum(value, 0.0), mats, status, gap, iters, identical
+    return SolveRecord(rhos, omegas, np.maximum(value, 0.0), mats, status, gap, iters, identical)
 
 
-def _optimal_values(rhos, omegas, c, config: SolverConfig = SolverConfig()) -> np.ndarray:
-    """The `optimal_value` of each `solve_min_couplings` result, without
-    building the results."""
-    return _solve(*_state_stacks(rhos, omegas), c, config)[0]
+def _solve_pairs(rhos, omegas, c, config: SolverConfig | None = None) -> SolveRecord:
+    """`_solve` on the pairs (rhos[i], omegas[i]) validated, at `config` or `SolverConfig()`."""
+    rhos, omegas = (validate_state(states if len(states) else np.empty((0, 2, 2)), what).reshape(-1, 2, 2)
+                    for states, what in ((rhos, "rho"), (omegas, "omega")))
+    if len(rhos) != len(omegas):
+        raise DomainError(f"{len(rhos)} first states but {len(omegas)} second states")
+    return _solve(rhos, omegas, c, config or SolverConfig())
 
 
 def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> list:
@@ -787,14 +795,12 @@ def solve_min_couplings(rhos, omegas, c, config: SolverConfig | None = None) -> 
     pairs are grouped.  A lane singular to working precision may stop at
     another iterate in another grouping; its gap still bounds that iterate.
     """
-    cfg = config if config is not None else SolverConfig()
-    rhos, omegas = _state_stacks(rhos, omegas)
-    value, mats, status, gap, iters, _ = _solve(rhos, omegas, c, cfg)
-    rho_ts = rhos.transpose(0, 2, 1)
+    rec = _solve_pairs(rhos, omegas, c, config)
+    rho_ts = rec.rhos.transpose(0, 2, 1)
     return [
-        TransportResult(float(value[i]), Coupling(mats[i], omegas[i], rho_ts[i]), status[i], float(gap[i]),
-                        int(iters[i]))
-        for i in range(len(rhos))
+        TransportResult(float(rec.value[i]), Coupling(rec.coupling[i], rec.omegas[i], rho_ts[i]), rec.status[i],
+                        float(rec.gap[i]), int(rec.iterations[i]))
+        for i in range(len(rho_ts))
     ]
 
 
@@ -824,28 +830,27 @@ def divergence_breakdown(rho, omega, c, config: SolverConfig | None = None) -> D
     return divergence_breakdowns([rho], [omega], c, config)[0]
 
 
-def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -> list:
-    """`divergence_breakdown` for each pair (rhos[i], omegas[i]), from one
-    batched transport solve and one self-distance call for both sides."""
-    cfg = config if config is not None else SolverConfig()
-    rhos, omegas = _state_stacks(rhos, omegas)
-    value, _, status, _, _, identical = _solve(rhos, omegas, c, cfg)
-    s1, s2 = _self_couplings(np.stack((rhos, omegas)), c)[1]
+def _divergences(rhos, omegas, c, config: SolverConfig | None = None) -> tuple:
+    """(record, rows): the `_solve_pairs` record of the pairs (rhos[i], omegas[i])
+    and a (5, N) array whose rows are D^2, both self-distances, the (unclamped)
+    radicand and the divergence, from one self-distance call for both sides."""
+    rec = _solve_pairs(rhos, omegas, c, config)
+    s1, s2 = _self_couplings(np.stack((rec.rhos, rec.omegas)), c)[1]
     # Identical states take s1 as their distance and as s2, so that the
     # radicand cancels to exactly zero.
-    dist = np.where(identical, s1, value)
-    s2 = np.where(identical, s1, s2)
+    dist = np.where(rec.identical, s1, rec.value)
+    s2 = np.where(rec.identical, s1, s2)
     radicand = dist - 0.5 * (s1 + s2)
-    if (radicand < -10.0 * cfg.tolerance).any():
-        raise SolverAccuracyError(
-            f"divergence radicand {radicand.min():.3e} below -10*tolerance; "
-            f"the transport solve did not reach its accuracy target"
-        )
-    div = np.sqrt(np.maximum(radicand, 0.0))
-    return [
-        DivergenceBreakdown(float(d), float(a), float(b), float(r), float(x), st)
-        for d, a, b, r, x, st in zip(dist, s1, s2, radicand, div, status)
-    ]
+    if (radicand < -10.0 * (config or SolverConfig()).tolerance).any():
+        raise SolverAccuracyError(f"divergence radicand {radicand.min():.3e} below -10*tolerance; "
+                                  "the transport solve did not reach its accuracy target")
+    return rec, np.stack((dist, s1, s2, radicand, np.sqrt(np.maximum(radicand, 0.0))))
+
+
+def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -> list:
+    """`divergence_breakdown` for each pair (rhos[i], omegas[i]), read off `_divergences`."""
+    rec, rows = _divergences(rhos, omegas, c, config)
+    return [DivergenceBreakdown(*map(float, row), status) for row, status in zip(rows.T, rec.status)]
 
 
 def wasserstein_divergence(rho, omega, c, config: SolverConfig | None = None) -> float:

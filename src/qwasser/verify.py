@@ -37,9 +37,9 @@ from .transport import (
     SYM_PUBLISHED_SCALE,
     Z_PUBLISHED_SCALE,
     SolverConfig,
-    _optimal_values,
+    _divergences,
     _product_couplings,
-    divergence_breakdowns,
+    _solve_pairs,
     self_distance_sq,
     sym_self_distance_sq_closed,
     sym_self_distance_sq_published,
@@ -125,7 +125,7 @@ def self_distance_table(blochs, cost: str, norms=None) -> dict:
         "selfdist_sq_purification": self_distance_sq(rhos, c),
         "selfdist_sq_closed_form": closed,
         "selfdist_sq_published_form": published,
-        "selfdist_sq_sdp": _optimal_values(rhos, rhos, c, _FORCED),
+        "selfdist_sq_sdp": _solve_pairs(rhos, rhos, c, _FORCED).value,
     }
 
 
@@ -154,7 +154,7 @@ def _sym_closed_forms(samples: int, seed: int, tolerance: float) -> list:
 
     b1, b2 = np.array(draws(seed, 0, samples, _sphere_pair)).transpose(1, 0, 2)
     r1, r2 = state_from_bloch(b1), state_from_bloch(b2)
-    costs, divs = np.array([(d.distance_sq, d.divergence) for d in divergence_breakdowns(r1, r2, c)]).T
+    costs, *_, divs = _divergences(r1, r2, c)[1]
     cost_devs = np.abs(costs - (6.0 - 2.0 * (b1 * b2).sum(axis=1)))
     div_devs = np.abs(divs - np.linalg.norm(b1 - b2, axis=1))
 
@@ -178,7 +178,7 @@ def _z_closed_forms(samples: int, seed: int, tolerance: float) -> list:
     # One solve: the pure pairs and the pole pair take the product coupling,
     # the diagonal pairs run the barrier in one block.
     states = state_from_bloch(np.concatenate((pure, diag, [[(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]])))
-    values = _optimal_values(states[:, 0], states[:, 1], z_cost())
+    values = _solve_pairs(states[:, 0], states[:, 1], z_cost()).value
     costs, diag_vals, poles = np.split(values, [samples, samples + len(tu)])
     pair_devs = np.abs(costs - (2.0 - 2.0 * pure[:, 0, 2] * pure[:, 1, 2]))
     diag_devs = np.abs(diag_vals - 2.0 * np.abs(tu[:, 0] - tu[:, 1]))
@@ -272,14 +272,14 @@ def _divergence_triangle(samples: int, seed: int, tolerance: float) -> list:
     blochs = draws(seed, 0, samples, lambda rng: [random_bloch_in_ball(rng) for _ in range(3)])
     triples = state_from_bloch(np.array(blochs))
     # edges (0, 1), (0, 2), (1, 2) of each triple
-    breakdowns = divergence_breakdowns(
-        triples[:, [0, 0, 1]].reshape(-1, 2, 2), triples[:, [1, 2, 2]].reshape(-1, 2, 2), sym_cost())
-    divs = np.reshape([br.divergence for br in breakdowns], (-1, 3))
+    *_, radicands, divs = _divergences(
+        triples[:, [0, 0, 1]].reshape(-1, 2, 2), triples[:, [1, 2, 2]].reshape(-1, 2, 2), sym_cost())[1]
+    divs = divs.reshape(-1, 3)
     d01, d02, d12 = divs.T
     excess = np.max([d01 - d02 - d12, d02 - d01 - d12, d12 - d01 - d02], axis=0)
     witnesses = [{"blochs": bloch_from_state(states).tolist(), "divergences": d.tolist(), "excess": float(e)}
                  for states, d, e in zip(triples, divs, excess) if e > tolerance]
-    min_radicand = min((br.radicand for br in breakdowns), default=np.inf)
+    min_radicand = radicands.min(initial=np.inf)
 
     return [_check("triangle-inequality-excess", np.maximum(excess, 0.0), tolerance, witnesses=witnesses,
                    notes=f"min radicand before clamping {min_radicand:.3e}")]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qwasser.cost import build_cost, conjugate_generators, kernel_residual, sym_cost, z_cost
+from qwasser.cost import CostOperator, build_cost, conjugate_generators, sym_cost, z_cost
 from qwasser.errors import DomainError
 from qwasser.linalg import vec
 from qwasser.sampling import random_unitary
@@ -12,6 +12,11 @@ from qwasser.states import PAULI
 C_SYM = np.array([[4, 0, 0, -4], [0, 8, 0, 0], [0, 0, 8, 0], [-4, 0, 0, 4]], dtype=complex)
 C_Z = np.diag([0.0, 4.0, 4.0, 0.0]).astype(complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def kernel_residual(c: CostOperator) -> float:
+    """|C @ vec(I)| -- zero for every generator-built cost."""
+    return float(np.abs(c.matrix @ vec(np.eye(2, dtype=complex))).max())
 
 
 def random_hermitian(rng):

@@ -14,7 +14,6 @@ from qwasser.isometry import (
     METRICS,
     antiunitary_conj_map,
     apply_state_map,
-    bloch_action_matrix,
     bloch_self_map,
     check_isometries,
     check_isometry,
@@ -37,13 +36,30 @@ from qwasser.sampling import (
     derived_rng,
     random_bloch_in_ball,
     random_bloch_on_sphere,
-    random_rotation,
     random_unitary,
 )
 from qwasser.states import PAULI, bloch_from_state, state_from_bloch
-from qwasser.cost import z_cost
+from qwasser.cost import require_unitary, z_cost
+from qwasser.linalg import dagger
 from qwasser.transport import SolverConfig, solve_min_coupling
 from qwasser.verify import run_suite
+
+
+def bloch_action_matrix(u) -> np.ndarray:
+    """3x3 matrix of the Bloch-vector action of rho -> u rho u^dag."""
+    u = require_unitary(u)
+    rhos = 0.5 * (PAULI[0] + np.array(PAULI[1:]))
+    return bloch_from_state(u @ rhos @ dagger(u)).T
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random element of SO(3)."""
+    z = rng.normal(size=(3, 3))
+    q, r = np.linalg.qr(z)
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 2] = -q[:, 2]
+    return q
 
 
 def rot_x(theta):

@@ -11,7 +11,8 @@ from qwasser import transport, verify
 from qwasser.cli import main
 from qwasser.cost import sym_cost, z_cost
 from qwasser.errors import DomainError
-from qwasser.states import state_from_bloch
+from qwasser.isometry import bloch_self_map, check_isometries, unitary_conj_map
+from qwasser.states import PAULI, state_from_bloch
 from qwasser.transport import SolverConfig, self_distance_sq, solve_min_coupling
 from qwasser.verify import SUITE_NAMES, run_suite, self_distance_table
 
@@ -94,6 +95,22 @@ def test_each_suite_solves_once_per_setting(suite, monkeypatch):
     assert run_suite(suite, samples=4).passed
     forced = [SolverConfig(fast_paths=False)] if suite.endswith("closed-forms") else []
     assert configs == [SolverConfig(), *forced]
+
+
+def test_harness_and_suites_read_arrays_not_per_pair_results(monkeypatch):
+    # the isometry harness and the suites read every value off the solve
+    # record's arrays; they once built a DivergenceBreakdown per pair and
+    # read two of its fields back
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-pair result object was built")
+
+    for name in ("DivergenceBreakdown", "TransportResult"):
+        monkeypatch.setattr(transport, name, refuse)
+    maps = [unitary_conj_map(PAULI[1], "x-flip"), bloch_self_map(lambda b: 0.5 * b, "radial-shrink")]
+    reports = check_isometries(maps, [0, 0], "d_sym", n_samples=4)
+    assert [r.verdict for r in reports] == ["isometry_within_tol", "violated"]
+    for suite in ("sym-closed-forms", "z-closed-forms", "dsym-isometries", "divergence-triangle"):
+        assert run_suite(suite, samples=4).passed
 
 
 @pytest.mark.parametrize("suite,cost,wrong_scale", [("sym-closed-forms", "sym", 0.7), ("z-closed-forms", "z", 0.5)])
