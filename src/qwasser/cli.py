@@ -167,13 +167,16 @@ def _cmd_pair(args) -> int:
             f"D^2(rho, omega)  = {res.distance_sq:.12g}",
             f"D^2(rho, rho)    = {res.self_distance_sq_first:.12g}",
             f"D^2(omega,omega) = {res.self_distance_sq_second:.12g}",
-            f"status           = {res.solver_status}",
+            f"status           = {res.solver_status}  gap = {res.duality_gap_or_residual:.3g}"
+            f"  iterations = {res.iterations}",
         ]
         fields = {
             "value": res.divergence,
             "radicand": res.radicand,
             "distance_sq": res.distance_sq,
             "self_distance_sq": [res.self_distance_sq_first, res.self_distance_sq_second],
+            "duality_gap_or_residual": res.duality_gap_or_residual,
+            "iterations": res.iterations,
         }
     result = {
         "kind": args.command,

@@ -5,24 +5,22 @@ Hermitian 4x4 matrix.  An augmented Lagrangian with multipliers on both
 marginal constraints and on the PSD cone, warmed up at zero multipliers (a
 plain quadratic penalty), drives constraint violations to ~1e-12 with bounded
 penalty weights even when nearly pure marginals make the coupling set razor
-thin; its inner solves are `minimize`, a dense BFGS on x with analytic
-gradients, from three starts.  Within a start, each inner solve begins from
-the inverse Hessian (`Minimum.h`) that the last one ended with, scaled by the
-ratio of the old to the new marginal penalty weight: the penalty terms
-dominate the Hessian and grow linearly in that weight.  Where a carried
-inverse Hessian yields no step, `minimize` resets it to the identity and
-retries; each start begins from the identity.  The best candidate is
-restored to exact feasibility by a short alternating-projection polish, so the
-reported value is the cost of an explicitly (near-machine) feasible coupling.
-That polish ends on the cone, about 1e-12 off the marginal slice, so the value
-may undercut the optimum by that much times the dual multipliers.  `upper`
-projects the best candidate back onto the slice and mixes it with the product
-coupling into the cone: its cost is an upper bound on the optimum up to the
-rounding of one evaluation.
+thin.  Its inner solves are `minimize`, Newton's method on x with the
+analytic gradient and generalized Hessian (`_al_hessian`), from three
+starts, as SDPNAL solves its subproblems (Zhao, Sun and Toh, SIAM J. Optim.
+2010): the objective is piecewise quadratic, so a few steps solve each.  The
+best candidate is restored to exact feasibility by a short
+alternating-projection polish, so the reported value is the cost of an
+explicitly (near-machine) feasible coupling.  That polish ends on the cone,
+about 1e-12 off the marginal slice, so the value may undercut the optimum by
+that much times the dual multipliers.  `upper` projects the best candidate
+back onto the slice and mixes it with the product coupling into the cone: its
+cost is an upper bound on the optimum up to the rounding of one evaluation.
 
 The objective works on x itself: the cost is the linear form tr[C m] = c . x
 and both marginal residuals are one real 16x16 map, A x - b, built once at
-import, so only the cone term needs a 4x4 matrix (one eigh per evaluation).
+import, so only the cone term needs a 4x4 matrix (one eigh per evaluation,
+and one per Hessian).
 
 Nothing here shares machinery with the barrier solver beyond elementary
 matrix helpers; agreement between the two is a meaningful consistency check.
@@ -30,13 +28,12 @@ matrix helpers; agreement between the two is a meaningful consistency check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import cost_matrix
-from .linalg import eigh_lo, eigvalsh_lo, partial_trace_first, partial_trace_second, transpose_op
+from .linalg import eigh_lo, eigvalsh_lo, partial_trace_first, partial_trace_second, solve, transpose_op
 from .sampling import derived_rng
 from .states import PAULI, validate_state
 
@@ -104,6 +101,7 @@ def _marginal_vector(second, first) -> np.ndarray:
 _A = np.array(
     [_marginal_vector(partial_trace_second(e), partial_trace_first(e)) for e in _BASIS.reshape(16, 4, 4)]
 ).T
+_ATA = _A.T @ _A
 
 
 def _psd_project(m):
@@ -116,38 +114,29 @@ class Minimum:
     x: np.ndarray
     nfev: int  # calls of the objective
     nit: int  # accepted steps
-    h: np.ndarray  # the final inverse-Hessian estimate
 
 
-def minimize(fun, x, args, maxiter: int, gtol: float, h=None) -> Minimum:
-    """Dense BFGS for a smooth objective fun(x, *args) -> (value, gradient).
+def minimize(fun, hess, x, args, maxiter: int, gtol: float) -> Minimum:
+    """Newton's method for fun(x, *args) -> (value, gradient) with Hessian hess(x, *args).
 
-    The inverse Hessian H starts at `h` when one is given, used as it is, so
-    that a caller can carry curvature over from a related problem; otherwise
-    at the identity, rescaled to (s.y / y.y) I before the first update
-    (Nocedal & Wright, Numerical Optimization, 6.20).  An update with
-    s.y <= 1e-16 |s| |y| is skipped.  Steps are found by Armijo backtracking
-    from 1, or from min(1, 1 / |g|_1) while H is the identity.  When -H g does
-    not descend, is too short to move x, or has no trial that passes the
-    Armijo test, H is reset to the identity and the step retried from the
-    same point.  Stops when max |g| <= gtol, after maxiter steps, when a
-    step's relative decrease is at most _STALL, or when no step from the
-    identity decreases f.  The final H is returned with x.
+    Each step solves (H + 1e-12 max|H| I) p = -g, and takes -g instead where
+    p does not descend (H singular or not positive definite); its length is
+    found by Armijo backtracking from 1.  Stops when max |g| <= gtol, after
+    maxiter steps, when a step's relative decrease is at most _STALL, or
+    when no trial passes the Armijo test.
     """
     f, g = fun(x, *args)
     nfev, nit = 1, 0
-    n = x.size
-    fresh = h is None  # h is the identity, not yet scaled by a curvature estimate
-    h = np.eye(n) if fresh else h.copy()
+    eye = np.eye(x.size)
     while nit < maxiter and np.abs(g).max() > gtol:
-        p = -(h @ g)
+        h = hess(x, *args)
+        # a singular system gives NaN, and a NaN slope is not negative
+        with np.errstate(invalid="ignore"):
+            p = solve(h + 1e-12 * np.abs(h).max() * eye, -g[:, None])[:, 0]
         slope = float(g @ p)
-        # no step along a direction that does not descend, or that is too
-        # short to move x, can decrease f
-        if not slope < 0.0 or np.array_equal(x + p, x):
-            h, fresh = np.eye(n), True
+        if not slope < 0.0:
             p, slope = -g, -float(g @ g)
-        t = min(1.0, 1.0 / np.abs(g).sum()) if fresh else 1.0
+        t = 1.0
         for _ in range(_HALVINGS + 1):
             xn = x + t * p
             fn, gn = fun(xn, *args)
@@ -156,25 +145,13 @@ def minimize(fun, x, args, maxiter: int, gtol: float, h=None) -> Minimum:
                 break
             t *= 0.5
         else:
-            if fresh:
-                break
-            h, fresh = np.eye(n), True  # retry from x along -g
-            continue
+            break
         nit += 1
-        s, y = xn - x, gn - g
-        sy = float(s @ y)
-        if sy > 1e-16 * math.sqrt(float(s @ s) * float(y @ y)):
-            if fresh:
-                h *= sy / float(y @ y)
-                fresh = False
-            # H + (1 + y.Hy / sy) s s^T / sy - (s w^T + w s^T), with w = H y / sy
-            w = (h @ y) / sy
-            h += s[:, None] * ((1.0 + float(y @ w)) / sy * s - w) - w[:, None] * s
         stalled = f - fn <= _STALL * max(abs(f), abs(fn), 1.0)
         x, f, g = xn, fn, gn
         if stalled:
             break
-    return Minimum(x, nfev, nit, h)
+    return Minimum(x, nfev, nit)
 
 
 def _al_objective(x, lam_m, lam_p, y, yp, yp_sq, c, b):
@@ -192,6 +169,24 @@ def _al_objective(x, lam_m, lam_p, y, yp, yp_sq, c, b):
     val = c @ x + y @ r + lam_m * (r @ r) + (pos @ pos - yp_sq) / (2.0 * lam_p)
     grad = c + _A.T @ (y + 2.0 * lam_m * r) - _pack_grad((v * pos) @ v.conj().T)
     return val, grad
+
+
+def _al_hessian(x, lam_m, lam_p, y, yp, yp_sq, c, b):
+    """Generalized Hessian of `_al_objective`: 2 lam_m A^T A + lam_p Re[(F o W) F^H].
+
+    F_k = V^H E_k V in the eigenbasis Z = V diag(w) V^H of Z = yp - lam_p m, and
+    W holds the divided differences (w_i+ - w_j+) / (w_i - w_j) of the positive
+    part, 1[w_i > 0] where w_i = w_j (Daleckii and Krein): the derivative of
+    Z_+ along dZ is V (W o V^H dZ V) V^H.
+    """
+    w, v = eigh_lo(yp - lam_p * _unpack(x))
+    pos = np.maximum(w, 0.0)
+    dw = w[:, None] - w
+    ratio = np.broadcast_to(w > 0.0, dw.shape).astype(float)
+    np.divide(pos[:, None] - pos, dw, out=ratio, where=dw != 0.0)
+    # (V^H E_k V)_ab = sum_ij (E_k)_ij conj(V_ia) V_jb
+    f = _BASIS @ (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(16, 16)
+    return 2.0 * lam_m * _ATA + lam_p * ((f * ratio.ravel()) @ f.conj().T).real
 
 
 def _slice_component(m):
@@ -261,28 +256,15 @@ def oracle_min_coupling(rho, omega, c, seed: int = 0) -> OracleResult:
             x = _pack(product + 0.5 * (noise + noise.conj().T))
         y = np.zeros(16)
         yp = np.zeros((4, 4), dtype=complex)
-        # The penalty terms dominate the Hessian and grow linearly in lam_m, so
-        # each inner solve starts from the inverse Hessian h that the last one
-        # ended with at weight lam_h, scaled by lam_h / lam_m.
-        h = lam_h = None
         # warm-up: at zero multipliers with lam_p = 2 lam the objective is the
         # quadratic penalty c.x + lam (|r|^2 + |m_-|^2), m_- the negative part of m
         for lam in (1e2, 1e4):
-            res = minimize(_al_objective, x, (lam, 2 * lam, y, yp, 0.0, cvec, b), maxiter=150, gtol=1e-12,
-                           h=None if h is None else h * (lam_h / lam))
-            x, h, lam_h = res.x, res.h, lam
+            x = minimize(_al_objective, _al_hessian, x, (lam, 2 * lam, y, yp, 0.0, cvec, b), maxiter=150, gtol=1e-12).x
 
         lam_m = lam_p = 1e5
         for _ in range(12):
-            res = minimize(
-                _al_objective,
-                x,
-                (lam_m, lam_p, y, yp, float(np.vdot(yp, yp).real), cvec, b),
-                maxiter=400,
-                gtol=1e-13,
-                h=h * (lam_h / lam_m),
-            )
-            x, h, lam_h = res.x, res.h, lam_m
+            args = (lam_m, lam_p, y, yp, float(np.vdot(yp, yp).real), cvec, b)
+            x = minimize(_al_objective, _al_hessian, x, args, maxiter=400, gtol=1e-13).x
             m = _unpack(x)
             r = _A @ x - b
             # largest entry modulus of either marginal residual, or the most negative eigenvalue

@@ -124,8 +124,9 @@ def _hessian_tensor() -> np.ndarray:
     and (l, k) terms fold into one.
     """
     pf = _P16[:, None] @ _FREE[None]  # P_k F_a
-    t = pf.reshape(144, 16) @ pf.transpose(0, 1, 3, 2).reshape(144, 16).T
-    t = t.real.reshape(16, 9, 16, 9).transpose(0, 2, 1, 3)
+    # einsum, not one (144, 16) @ (16, 144) product, which OpenBLAS may split
+    # over threads and which then costs an import 10-20 ms instead of 1
+    t = np.einsum("kaij,lbji->klab", pf, pf).real
     t = t + t.transpose(1, 0, 2, 3)
     t[np.arange(16), np.arange(16)] *= 0.5
     return np.ascontiguousarray(t[_K, _L][:, _A, _B])
@@ -240,6 +241,8 @@ class DivergenceBreakdown:
     radicand: float
     divergence: float
     solver_status: str
+    duality_gap_or_residual: float  # of the D^2 solve, as in its TransportResult
+    iterations: int  # Newton steps of the D^2 solve
 
 
 def product_coupling(rho, omega) -> Coupling:
@@ -850,7 +853,10 @@ def _divergences(rhos, omegas, c, config: SolverConfig | None = None) -> tuple:
 def divergence_breakdowns(rhos, omegas, c, config: SolverConfig | None = None) -> list:
     """`divergence_breakdown` for each pair (rhos[i], omegas[i]), read off `_divergences`."""
     rec, rows = _divergences(rhos, omegas, c, config)
-    return [DivergenceBreakdown(*map(float, row), status) for row, status in zip(rows.T, rec.status)]
+    return [
+        DivergenceBreakdown(*map(float, row), status, float(gap), int(its))
+        for row, status, gap, its in zip(rows.T, rec.status, rec.gap, rec.iterations)
+    ]
 
 
 def wasserstein_divergence(rho, omega, c, config: SolverConfig | None = None) -> float:

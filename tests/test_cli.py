@@ -305,6 +305,16 @@ class TestNearPure:
         assert (code, out, err) == forced
         assert code == 3 and "status     = max_iterations" in out
 
+    def test_divergence_reports_the_distance_solves_gap(self, capsys):
+        code, out, err = run_cli(capsys, ["divergence", *self.PAIR])
+        assert code == 3 and err == ""
+        assert "status           = max_iterations  gap = 0.000178  iterations = 34" in out
+        code, out, _ = run_cli(capsys, ["divergence", "--json", *self.PAIR])
+        (result,) = json.loads(out)["results"]
+        assert code == 3 and result["solver_status"] == "max_iterations"
+        assert result["duality_gap_or_residual"] == pytest.approx(1.78e-4, rel=1e-3)
+        assert result["iterations"] == 34
+
 
 class TestUsageErrors:
     def test_unknown_suite_exit_2(self, capsys):

@@ -85,35 +85,38 @@ class TestOracleVsSolver:
             assert orc.marginal_residual <= 1e-11
 
     def test_restart_that_broke_an_unguarded_warm_start(self):
-        # criterion 9's pair 1 under this restart seed, where an early carried
-        # inverse Hessian ended the oracle 3.2e-5 below the solver: the oracle
-        # as built agrees with the solver to 1e-8.  It does so also without
-        # the scaling of the carried H and without its reset, so the count
-        # guard below, not this test, catches their removal.
+        # criterion 9's pair 1 under this restart seed, where an inverse Hessian
+        # carried over from an earlier inner solve once ended the oracle 3.2e-5
+        # below the solver: the oracle as built agrees with the solver to 1e-8
         rho, omega = self._criterion_9_pair(1)
         sdp = solve_min_coupling(rho, omega, C_Z).optimal_value
         orc = oracle_min_coupling(rho, omega, C_Z, seed=1968031152)
         assert orc.value == pytest.approx(sdp, abs=1e-8)
 
-    def test_carried_curvature_keeps_the_evaluation_count(self, monkeypatch):
-        # objective evaluations over criterion 9's pairs 0-3, both costs: 6827
-        # as built, 11,704 with the carried H not scaled by lam_h / lam_m, and
-        # 15,441 with no H carried across the penalty rounds
+    def test_evaluation_count(self, monkeypatch):
+        # objective and Hessian calls over criterion 9's pairs 0-3, both costs:
+        # 3215 and 822 as built
         import qwasser.oracle
 
-        nfev = []
+        calls = []
 
-        def counted(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            nfev.append(res.nfev)
-            return res
+        def counted(fun, hess, *args, **kwargs):
+            def f(*a):
+                calls.append("f")
+                return fun(*a)
+
+            def h(*a):
+                calls.append("h")
+                return hess(*a)
+
+            return minimize(f, h, *args, **kwargs)
 
         monkeypatch.setattr(qwasser.oracle, "minimize", counted)
         for j in range(4):
             rho, omega = self._criterion_9_pair(j)
             for c in (C_SYM, C_Z):
                 oracle_min_coupling(rho, omega, c, seed=j)
-        assert sum(nfev) <= 8000, sum(nfev)
+        assert len(calls) <= 4500, (calls.count("f"), calls.count("h"))
 
 
 class TestGradients:
@@ -158,6 +161,26 @@ class TestGradients:
         err = self._finite_difference_check(_al_objective, x0, (1e3, 1e3, y, yp, yp_sq, c, b))
         assert err < 1e-6
 
+    def test_al_hessian(self):
+        # central differences of the gradient, at a point where the nearest
+        # eigenvalue of Z = yp - lam_p m to 0 is 0.4 lam_p away
+        from qwasser.oracle import _al_hessian, _al_objective, _unpack
+
+        x0, c, b = self._point_and_targets(8)
+        y = np.random.default_rng(9).normal(size=16)
+        yp = np.diag([0.5, 0.1, 0.0, 0.2]).astype(complex)
+        args = (1e3, 1e3, y, yp, float(np.vdot(yp, yp).real), c, b)
+        assert np.abs(np.linalg.eigvalsh(yp - 1e3 * _unpack(x0))).min() >= 0.4e3
+        hess = _al_hessian(x0, *args)
+        num = np.zeros((16, 16))
+        for k in range(16):
+            e = np.zeros(16)
+            e[k] = 1e-6
+            num[:, k] = (_al_objective(x0 + e, *args)[1] - _al_objective(x0 - e, *args)[1]) / 2e-6
+        scale = np.abs(hess).max()
+        assert np.abs(hess - hess.T).max() <= 1e-14 * scale
+        assert np.abs(num - hess).max() <= 1e-8 * scale
+
     @staticmethod
     def _no_multipliers():
         return np.zeros(16), np.zeros((4, 4), dtype=complex), 0.0
@@ -199,11 +222,11 @@ class TestGradients:
 class TestMinimize:
     @staticmethod
     def _penalty_problem():
-        """The oracle's warm-up objective at its stiffer weight."""
-        from qwasser.oracle import _al_objective
+        """The oracle's warm-up objective at its stiffer weight, and its Hessian."""
+        from qwasser.oracle import _al_hessian, _al_objective
 
         x0, c, b = TestGradients._point_and_targets(12)
-        return _al_objective, x0, (1e4, 2e4, *TestGradients._no_multipliers(), c, b)
+        return _al_objective, _al_hessian, x0, (1e4, 2e4, *TestGradients._no_multipliers(), c, b)
 
     @staticmethod
     def _quadratic():
@@ -216,47 +239,50 @@ class TestMinimize:
 
     def test_reaches_the_minimizer_of_a_convex_quadratic(self):
         fun, a, b, x0 = self._quadratic()
-        res = minimize(fun, x0, (), maxiter=200, gtol=1e-12)
+        res = minimize(fun, lambda x: a, x0, (), maxiter=200, gtol=1e-12)
         assert np.abs(res.x - np.linalg.solve(a, b)).max() <= 1e-9
 
-    def test_the_exact_inverse_hessian_takes_one_newton_step(self):
+    def test_a_convex_quadratic_takes_one_newton_step(self):
         fun, a, b, x0 = self._quadratic()
-        h = np.linalg.inv(a)
-        res = minimize(fun, x0, (), maxiter=200, gtol=1e-12, h=h)
-        assert res.nit == 1
+        res = minimize(fun, lambda x: a, x0, (), maxiter=1, gtol=0.0)
+        assert res.nit == 1 and res.nfev == 2  # the full step passes the Armijo test
         assert np.abs(res.x - np.linalg.solve(a, b)).max() <= 1e-9
-        assert np.array_equal(h, np.linalg.inv(a))  # the caller's h is not updated in place
 
-    @pytest.mark.parametrize("scale", [1e-40, 1e40])
-    def test_an_inverse_hessian_that_yields_no_step_is_reset(self, scale):
-        # under 1e-40 I no step moves x, under 1e40 I all 41 trials overshoot:
-        # a run that kept either would stop at x0
-        fun, a, b, x0 = self._quadratic()
-        res = minimize(fun, x0, (), maxiter=200, gtol=1e-12, h=scale * np.eye(16))
-        assert np.abs(res.x - np.linalg.solve(a, b)).max() <= 1e-9
-        assert res.nfev > 41
+    @pytest.mark.parametrize("hessian", ["singular", "negative definite"])
+    def test_a_hessian_without_a_descent_step_falls_back_to_the_gradient(self, hessian):
+        # the zero matrix gives no Newton step and -a one that ascends: both
+        # runs go down -g alone, and on this well-conditioned quadratic still
+        # reach its minimizer, to the accuracy the stall rule leaves
+        rng = np.random.default_rng(12)
+        a = np.diag(rng.uniform(1.0, 1.5, size=16))
+        b = rng.normal(size=16)
+        h = np.zeros((16, 16)) if hessian == "singular" else -a
+        res = minimize(lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b), lambda x: h, np.zeros(16), (),
+                       maxiter=400, gtol=1e-12)
+        assert np.abs(res.x - b / np.diag(a)).max() <= 1e-8
+        assert res.nit > 1
 
     def test_objective_never_increases_and_maxiter_is_honoured(self):
         # the run capped at k steps ends at the k-th iterate of every longer run
-        fun, x0, args = self._penalty_problem()
-        first = minimize(fun, x0, args, maxiter=0, gtol=0.0)
+        fun, hess, x0, args = self._penalty_problem()
+        first = minimize(fun, hess, x0, args, maxiter=0, gtol=0.0)
         assert np.array_equal(first.x, x0) and first.nit == 0 and first.nfev == 1
         values = [fun(x0, *args)[0]]
         for k in range(1, 25):
-            res = minimize(fun, x0, args, maxiter=k, gtol=0.0)
+            res = minimize(fun, hess, x0, args, maxiter=k, gtol=0.0)
             assert res.nit == k
             values.append(fun(res.x, *args)[0])
         assert np.all(np.diff(values) < 0.0)
 
     def test_nfev_counts_the_calls(self):
-        fun, x0, args = self._penalty_problem()
+        fun, hess, x0, args = self._penalty_problem()
         calls = []
 
         def counted(x, *a):
             calls.append(x)
             return fun(x, *a)
 
-        res = minimize(counted, x0, args, maxiter=150, gtol=1e-12)
+        res = minimize(counted, hess, x0, args, maxiter=150, gtol=1e-12)
         assert res.nfev == len(calls)
         assert res.nfev > res.nit + 1  # some steps backtracked
 

@@ -599,6 +599,17 @@ class TestBatchedSolve:
             assert (br.self_distance_sq_first, br.self_distance_sq_second) == (
                 single.self_distance_sq_first, single.self_distance_sq_second)
 
+    def test_divergence_reports_the_gap_and_steps_of_its_distance_solve(self):
+        # the CLI's near-pure repro: the D^2 solve ends uncertified, and the
+        # breakdown says so with that solve's own gap and Newton steps
+        rho, omega = ONE_PAIRS["cli-near-pure"]
+        br = divergence_breakdown(rho, omega, C_SYM)
+        res = solve_min_coupling(rho, omega, C_SYM)
+        assert br.solver_status == res.solver_status == "max_iterations"
+        assert br.duality_gap_or_residual == res.duality_gap_or_residual
+        assert br.duality_gap_or_residual == pytest.approx(1.78e-4, rel=1e-3)
+        assert br.iterations == res.iterations
+
     def test_empty_stack_and_length_mismatch(self):
         assert solve_min_couplings([], [], C_SYM) == []
         rho = state_from_bloch([0.1, 0.0, 0.0])
