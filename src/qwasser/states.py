@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_integer
 from .linalg import HERMITIAN_TOL, eigvalsh_lo, require_square
 
 PAULI = (
@@ -33,7 +33,8 @@ NAMED_BLOCH = {
 
 def pauli(j: int) -> np.ndarray:
     """Pauli matrix sigma_j; j = 0 gives the identity."""
-    if j not in (0, 1, 2, 3):
+    require_integer("pauli: index", j, 0)
+    if j > 3:
         raise DomainError(f"pauli: index must be in 0..3, got {j!r}")
     return PAULI[j].copy()
 

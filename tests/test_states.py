@@ -32,6 +32,15 @@ class TestPauli:
         with pytest.raises(DomainError):
             pauli(4)
 
+    @pytest.mark.parametrize("j", [1.0, np.float64(2.0), True, False, -1, "1", None])
+    def test_index_must_be_an_integer(self, j):
+        # a float once indexed the tuple (TypeError) and a bool passed as 0 or 1
+        with pytest.raises(DomainError, match="pauli: index"):
+            pauli(j)
+
+    def test_numpy_integer_index(self):
+        assert np.array_equal(pauli(np.int64(3)), pauli(3))
+
 
 class TestBlochMaps:
     def test_center(self):
